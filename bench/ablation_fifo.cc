@@ -61,8 +61,8 @@ runLu(unsigned p, std::size_t tf, unsigned tau, std::size_t n)
 int
 main(int argc, char **argv)
 {
-    const std::size_t lu_n = std::size_t(argValue(argc, argv, "--lun",
-                                                  176));
+    const std::size_t lu_n =
+        std::size_t(argNumber(argc, argv, "--lun", 176, 1, maxDim));
     const unsigned jobs = initSimFlags(argc, argv);
     const std::size_t sizes[] = {128, 256, 512, 1024, 2048, 4096};
     const std::size_t depths[] = {64, 128, 256, 512, 1024, 2048};

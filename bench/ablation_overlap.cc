@@ -92,7 +92,8 @@ runOverlap(unsigned p, unsigned tau, std::size_t n, std::size_t k)
 int
 main(int argc, char **argv)
 {
-    const std::size_t k = std::size_t(argValue(argc, argv, "--k", 300));
+    const std::size_t k =
+        std::size_t(argNumber(argc, argv, "--k", 300, 1, maxDim));
     const unsigned jobs = initSimFlags(argc, argv);
     std::printf("Fig. 5 separate-reload vs overlapped-reload matrix "
                 "update (Tf = 2048, K = %zu).\n\n", k);

@@ -72,10 +72,12 @@ runWarp(unsigned p, unsigned tau, std::size_t n, std::size_t k,
 int
 main(int argc, char **argv)
 {
-    const std::size_t n = std::size_t(argValue(argc, argv, "--n", 32));
-    const std::size_t k = std::size_t(argValue(argc, argv, "--k", 64));
-    const std::size_t tiles = std::size_t(argValue(argc, argv,
-                                                   "--tiles", 24));
+    const std::size_t n =
+        std::size_t(argNumber(argc, argv, "--n", 32, 1, maxDim));
+    const std::size_t k =
+        std::size_t(argNumber(argc, argv, "--k", 64, 1, maxDim));
+    const std::size_t tiles =
+        std::size_t(argNumber(argc, argv, "--tiles", 24, 1, maxDim));
 
     const unsigned jobs = initSimFlags(argc, argv);
     std::printf("Horizontal vs linear (Warp) array: stream of %zu "

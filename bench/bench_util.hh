@@ -11,13 +11,17 @@
 #ifndef OPAC_BENCH_BENCH_UTIL_HH
 #define OPAC_BENCH_BENCH_UTIL_HH
 
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <ctime>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -40,19 +44,6 @@ namespace opac::bench
 {
 
 /**
- * Process-wide default for CoprocConfig::skipIdleCycles, set by
- * initSimFlags from --no-skip. A mutable global (rather than plumbing
- * a flag through every table function) because it is a pure
- * debugging aid: skipping is bit-identical to spinning.
- */
-inline bool &
-skipDefault()
-{
-    static bool skip = true;
-    return skip;
-}
-
-/**
  * Process-wide fault-injection plan, set by initSimFlags from
  * --faults=<spec> (docs/RESILIENCE.md). Empty by default, so benches
  * run fault-free and byte-identical to a build without the subsystem.
@@ -73,27 +64,17 @@ parityDefault()
 }
 
 /**
- * Process-wide engine mode, set by initSimFlags from --engine=. All
- * four modes are bit-identical in simulated cycles, statistics and
- * trace output (docs/PERFORMANCE.md), so this only selects how fast
- * the host machine gets there.
+ * Process-wide engine mode, set by initSimFlags from --engine=. A
+ * mutable global (rather than plumbing a flag through every table
+ * function) because both modes are bit-identical in simulated cycles,
+ * statistics and trace output (docs/PERFORMANCE.md): this only
+ * selects how fast the host machine gets there.
  */
 inline sim::EngineMode &
 engineDefault()
 {
     static sim::EngineMode mode = sim::EngineMode::Skip;
     return mode;
-}
-
-/**
- * Process-wide worker count for --engine=parallel, set by initSimFlags
- * from --sim-threads= (0 = one per hardware thread).
- */
-inline unsigned &
-simThreadsDefault()
-{
-    static unsigned threads = 0;
-    return threads;
 }
 
 /**
@@ -111,20 +92,17 @@ fastTierDefault()
 
 /**
  * Parse the simulation-wide bench flags:
- *   --no-skip        run every idle cycle instead of fast-forwarding
- *                    (bit-identical; only slower — a debugging aid)
  *   --jobs N         worker threads for the parameter sweep
  *                    (default: hardware concurrency)
  *   --faults=SPEC    fault-injection plan for every system the bench
  *                    builds (grammar in docs/RESILIENCE.md)
  *   --parity=MODE    off | detect | correct FIFO word protection
- *   --engine=MODE    spin | skip | event | parallel scheduler
- *                    (bit-identical; see docs/PERFORMANCE.md)
- *   --sim-threads=N  workers for --engine=parallel (0 = one per
- *                    hardware thread)
+ *   --engine=MODE    skip (default) | spin run loop (bit-identical;
+ *                    spin ticks every cycle — a debugging aid; see
+ *                    docs/PERFORMANCE.md)
  *   --fast-tier=X    on | off superop fast tier (bit-identical;
  *                    off forces the per-cycle interpreter)
- * Returns the job count for sim::sweep.
+ * Bad values exit 2. Returns the job count for sim::sweep.
  */
 inline unsigned
 initSimFlags(int argc, char **argv);
@@ -142,9 +120,7 @@ timingConfig(unsigned cells, std::size_t tf, unsigned tau,
     cfg.host.tau = tau;
     cfg.memoryWords = memory_words;
     cfg.watchdogCycles = 2000000;
-    cfg.skipIdleCycles = skipDefault();
     cfg.engineMode = engineDefault();
-    cfg.simThreads = simThreadsDefault();
     cfg.faults = faultDefault();
     cfg.cell.parity = parityDefault();
     cfg.fastTier = fastTierDefault();
@@ -163,8 +139,9 @@ wallSeconds()
 
 /**
  * Simulated cycles per wall-clock second — the simulator-throughput
- * metric recorded as "sim_rate" in BENCH_*.json (informational:
- * bench_diff reports it but never gates on it).
+ * metric recorded as "sim_rate" in BENCH_*.json. bench_diff reports
+ * it and gates on it only with --gate-sim-rate=PCT, which CI passes
+ * (30%) for table_6_1 and table_6_2.
  */
 inline double
 simRate(Cycle cycles, double wall_seconds)
@@ -177,17 +154,6 @@ inline std::string
 maPerCycle(double mas, Cycle cycles)
 {
     return strfmt("%.3f", mas / double(cycles));
-}
-
-/** Simple "--flag value" argument scan. */
-inline long
-argValue(int argc, char **argv, const std::string &flag, long fallback)
-{
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (argv[i] == flag)
-            return std::atol(argv[i + 1]);
-    }
-    return fallback;
 }
 
 /** True if "--flag" is present. */
@@ -216,10 +182,52 @@ argText(int argc, char **argv, const std::string &flag)
     return "";
 }
 
+/**
+ * Upper bound for problem-size flags (--rows, --k, ...): far above any
+ * size the simulator can hold, low enough that a product of two stays
+ * exact.
+ */
+inline constexpr long long maxDim = 1 << 20;
+
+/**
+ * Value of the numeric flag "--flag N" or "--flag=N"; @p fallback when
+ * the flag is absent. Anything but a plain decimal integer in
+ * [@p lo, @p hi] — an empty or missing value, a sign, trailing text,
+ * overflow — is a usage error: the message goes to stderr and the
+ * process exits 2.
+ */
+inline long long
+argNumber(int argc, char **argv, const std::string &flag,
+          long long fallback, long long lo,
+          long long hi = std::numeric_limits<long long>::max())
+{
+    const std::string prefix = flag + "=";
+    const char *text = nullptr;
+    for (int i = 1; i < argc && !text; ++i) {
+        if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0)
+            text = argv[i] + prefix.size();
+        else if (argv[i] == flag)
+            text = i + 1 < argc ? argv[i + 1] : "";
+    }
+    if (!text)
+        return fallback;
+    errno = 0;
+    char *end = nullptr;
+    long long v = std::strtoll(text, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0'
+        || errno == ERANGE || v < lo || v > hi) {
+        std::fprintf(stderr,
+                     "%s: bad %s value '%s' (want an integer in "
+                     "[%lld, %lld])\n", argv[0], flag.c_str(), text, lo,
+                     hi);
+        std::exit(2);
+    }
+    return v;
+}
+
 inline unsigned
 initSimFlags(int argc, char **argv)
 {
-    skipDefault() = !argFlag(argc, argv, "--no-skip");
     try {
         std::string faults = argText(argc, argv, "--faults");
         if (!faults.empty())
@@ -235,13 +243,10 @@ initSimFlags(int argc, char **argv)
     if (!engine.empty()
         && !sim::parseEngineMode(engine, engineDefault())) {
         std::fprintf(stderr,
-                     "%s: bad --engine value '%s' (want spin, skip, "
-                     "event or parallel)\n", argv[0], engine.c_str());
+                     "%s: bad --engine value '%s' (want spin or "
+                     "skip)\n", argv[0], engine.c_str());
         std::exit(2);
     }
-    std::string threads = argText(argc, argv, "--sim-threads");
-    if (!threads.empty())
-        simThreadsDefault() = unsigned(std::atol(threads.c_str()));
     std::string fast = argText(argc, argv, "--fast-tier");
     if (!fast.empty()) {
         if (fast == "on") {
@@ -255,12 +260,8 @@ initSimFlags(int argc, char **argv)
             std::exit(2);
         }
     }
-    long jobs = argValue(argc, argv, "--jobs",
-                         long(sim::defaultJobs()));
-    std::string eq = argText(argc, argv, "--jobs");
-    if (!eq.empty())
-        jobs = std::atol(eq.c_str());
-    return jobs > 0 ? unsigned(jobs) : 1;
+    return unsigned(argNumber(argc, argv, "--jobs", sim::defaultJobs(), 1,
+                              std::numeric_limits<unsigned>::max()));
 }
 
 /**
@@ -561,13 +562,10 @@ class StatsSession
 {
   public:
     StatsSession(int argc, char **argv)
-        : path(argText(argc, argv, "--stats"))
-    {
-        std::string iv = argText(argc, argv, "--sample-interval");
-        interval = iv.empty() ? 1000 : Cycle(std::atol(iv.c_str()));
-        opac_assert(interval > 0, "bad --sample-interval value '%s'",
-                    iv.c_str());
-    }
+        : path(argText(argc, argv, "--stats")),
+          interval(Cycle(argNumber(argc, argv, "--sample-interval", 1000,
+                                   1)))
+    {}
 
     /** True when the user asked for a stats dump. */
     bool wanted() const { return !path.empty(); }
@@ -630,14 +628,9 @@ class SnapshotSession
   public:
     SnapshotSession(int argc, char **argv)
         : file(argText(argc, argv, "--snapshot-file")),
-          resume(argText(argc, argv, "--resume-from"))
+          resume(argText(argc, argv, "--resume-from")),
+          snapshotAt(Cycle(argNumber(argc, argv, "--snapshot-at", 0, 1)))
     {
-        std::string at = argText(argc, argv, "--snapshot-at");
-        if (!at.empty()) {
-            snapshotAt = Cycle(std::atoll(at.c_str()));
-            opac_assert(snapshotAt > 0, "bad --snapshot-at value '%s'",
-                        at.c_str());
-        }
         if (snapshotAt != 0 && file.empty())
             file = "opac.snap";
     }
@@ -689,7 +682,7 @@ class SnapshotSession
   private:
     std::string file;
     std::string resume;
-    Cycle snapshotAt = 0;
+    Cycle snapshotAt;
     copro::Coprocessor *sys = nullptr;
 };
 

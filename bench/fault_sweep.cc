@@ -19,9 +19,9 @@
  * --smoke cuts the matrix to the protected rows and smaller problems
  * (the CI soak leg); --faults= and --parity= are intentionally NOT
  * honored here (every case pins its own plan), but the engine-side
- * flags (--engine=, --sim-threads=, --no-skip) are — every mode
- * reproduces the table bit-identically, and the chosen engine is
- * stamped into the BENCH json config.
+ * flags (--engine=, --fast-tier=) are — both modes reproduce the
+ * table bit-identically, and the chosen engine is stamped into the
+ * BENCH json config.
  */
 
 #include <cstdio>
@@ -199,7 +199,6 @@ main(int argc, char **argv)
     json.config("fp", "native");
     json.config("jobs", 3);
     json.config("engine", sim::engineModeName(engineDefault()));
-    json.config("sim_threads", long(simThreadsDefault()));
     json.config("smoke", smoke ? "yes" : "no");
 
     TextTable t("fault sweep: 3-job GEMM workload, 4 cells "

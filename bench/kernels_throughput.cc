@@ -260,7 +260,6 @@ main(int argc, char **argv)
     json.config("tf", 2048);
     json.config("fp", "token");
     json.config("engine", sim::engineModeName(engineDefault()));
-    json.config("sim_threads", long(simThreadsDefault()));
     TraceSession trace(argc, argv);
     StatsSession stats(argc, argv);
     std::printf("Signal-kernel throughput (no paper table; section 2 "

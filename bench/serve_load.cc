@@ -22,8 +22,8 @@
  * gates on exactly that against bench/baselines/BENCH_serve_load.json.
  *
  * Everything reported is simulated-time deterministic: reruns (and
- * --engine=/--sim-threads= changes, which this bench honors via
- * initSimFlags) are byte-identical, so the committed baseline pins
+ * --engine= changes, which this bench honors via initSimFlags) are
+ * byte-identical, so the committed baseline pins
  * scheduler behavior, not just speed. --smoke shrinks the grid for
  * the sanitizer legs.
  */
@@ -153,9 +153,7 @@ runCase(const LoadCase &lc, const ObsOut &obs, const DurOpts &dur)
     cfg.shard.cells = 2;
     cfg.shard.tf = 512;
     cfg.shard.memoryWords = 1 << 20;
-    cfg.shard.skipIdleCycles = skipDefault();
     cfg.shard.engineMode = engineDefault();
-    cfg.shard.simThreads = simThreadsDefault();
     cfg.shard.fastTier = fastTierDefault();
     cfg.sched.batchMax = 2;
     if (!lc.faults.empty())
@@ -344,12 +342,11 @@ main(int argc, char **argv)
     //   --resume                resume from --checkpoint-dir up front
     DurOpts dur;
     dur.dir = argText(argc, argv, "--checkpoint-dir");
-    std::string every = argText(argc, argv, "--checkpoint-every");
-    if (!every.empty())
-        dur.every = unsigned(std::atol(every.c_str()));
-    std::string crash = argText(argc, argv, "--crash-after");
-    if (!crash.empty())
-        dur.crashAfter = unsigned(std::atol(crash.c_str()));
+    const long long uintMax = std::numeric_limits<unsigned>::max();
+    dur.every = unsigned(
+        argNumber(argc, argv, "--checkpoint-every", 1, 1, uintMax));
+    dur.crashAfter = unsigned(
+        argNumber(argc, argv, "--crash-after", 0, 0, uintMax));
     dur.resume = argFlag(argc, argv, "--resume");
     if (dur.crashAfter != 0 && dur.dir.empty()) {
         std::fprintf(stderr, "serve_load: --crash-after needs "
@@ -381,7 +378,6 @@ main(int argc, char **argv)
     json.config("tf", 512);
     json.config("batch_max", 2);
     json.config("engine", sim::engineModeName(engineDefault()));
-    json.config("sim_threads", long(simThreadsDefault()));
     json.config("fast_tier", fastTierDefault() ? "on" : "off");
     json.config("smoke", smoke ? "yes" : "no");
 

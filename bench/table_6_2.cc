@@ -75,10 +75,10 @@ runCase(unsigned p_cells, std::size_t tf, unsigned tau, std::size_t n,
 int
 main(int argc, char **argv)
 {
-    const std::size_t n = std::size_t(argValue(argc, argv, "--rows",
-                                               1024));
-    const std::size_t m = std::size_t(argValue(argc, argv, "--cols",
-                                               1024));
+    const std::size_t n =
+        std::size_t(argNumber(argc, argv, "--rows", 1024, 1, maxDim));
+    const std::size_t m =
+        std::size_t(argNumber(argc, argv, "--cols", 1024, 1, maxDim));
     const unsigned jobs = initSimFlags(argc, argv);
     std::printf("Paper table 6.2: 5x5 convolution of a %zux%zu image, "
                 "useful multiply-adds per cycle.\n\n", n, m);
@@ -101,7 +101,6 @@ main(int argc, char **argv)
     json.config("rows", long(n));
     json.config("cols", long(m));
     json.config("engine", sim::engineModeName(engineDefault()));
-    json.config("sim_threads", long(simThreadsDefault()));
     json.config("fast_tier", fastTierDefault() ? "on" : "off");
 
     std::size_t idx = 0;

@@ -39,23 +39,29 @@ plain="$build_root/plain"
 "$plain/tools/trace_report" "$plain/trace_smoke.json" > /dev/null
 echo "trace smoke test OK"
 
-# Parallel-engine determinism under TSan: the sharded cell execution
-# is the simulator's only intra-run concurrency; rerun its golden
-# suite and a bench smoke with a real worker pool under the race
-# detector. (The tsan ctest pass above already ran the suite once;
-# this leg pins the intent so a test-regex change cannot silently
-# drop it.)
-echo "=== parallel engine (TSan) ==="
+# Concurrency under TSan. Each simulation runs on one thread; the
+# concurrency lives around it: the sweep runner fans independent
+# Coprocessor instances across a thread pool, and the job server runs
+# one engine per shard on real worker threads plus the submit/deliver
+# locking. Rerun both surfaces under the race detector. (The tsan
+# ctest pass above already ran the suites once; this leg pins the
+# intent so a test-regex change cannot silently drop it.)
+echo "=== concurrency (TSan) ==="
 tsan="$build_root/tsan"
 (cd "$tsan" && ctest -R test_engine_parallel --output-on-failure)
-(cd "$tsan" && ./bench/table_6_2 --rows 32 --cols 32 --jobs 1 \
-    --engine=parallel --sim-threads=4 > /dev/null)
-# The job server is the other concurrency surface: one engine per
-# shard on real worker threads, plus the submit/deliver locking.
+(cd "$tsan" && ./bench/table_6_1 --quick --jobs=4 > /dev/null)
 (cd "$tsan" && ctest -R test_serve --output-on-failure)
-(cd "$tsan" && ./bench/serve_load --smoke --engine=parallel \
-    --sim-threads=2 > /dev/null)
-echo "parallel engine TSan OK"
+(cd "$tsan" && ./bench/serve_load --smoke > /dev/null)
+# The engine has exactly two run loops; a removed mode must be a
+# usage error (exit 2), not a silent fallback.
+status=0
+(cd "$tsan" && ./bench/table_6_2 --rows 32 --cols 32 --engine=event \
+    > /dev/null 2>&1) || status=$?
+if [ "$status" -ne 2 ]; then
+    echo "table_6_2 --engine=event exited $status, want 2" >&2
+    exit 1
+fi
+echo "concurrency TSan OK"
 
 # Fault matrix: soak the recovery stack under the sanitizers. A
 # flip/hang/mem fault plan over a full table run must complete (parity
@@ -76,7 +82,7 @@ echo "fault matrix OK"
 # Snapshot & resume (sanitized): pause the representative table_6_1
 # case at a fixed cycle, write a checkpoint, validate it, and resume
 # it — under ASan/UBSan so the whole save/load path soaks. The golden
-# byte-identity matrix itself (4 engine modes x fast tier, serve
+# byte-identity matrix itself (both engine modes x fast tier, serve
 # crash/restart exactly-once) is tests/test_snapshot, which every
 # ctest pass above already ran; this leg pins the bench-flag wiring
 # and keeps a snapshot in the CI artifacts.

@@ -96,14 +96,6 @@ Cell::Cell(std::string name, const CellConfig &cfg,
             [this, q](Cycle now) { enterFaulted(q->name().c_str(), now); });
     }
     _tpo.setParity(cfg.parity);
-
-    // Every queue mutation must wake this cell before it happens so
-    // the event engine can replay slept-through rounds against the
-    // pre-mutation state. setBusWakeNeighbor() later adds the host on
-    // the four interface queues.
-    for (TimedFifo *q : queueTab)
-        q->setWakeTargets(this, nullptr);
-    _tpi.setWakeTargets(this, nullptr);
 }
 
 std::uint64_t
@@ -174,8 +166,7 @@ Cell::attachTracer(trace::Tracer *t)
     _reby.attachTracer(t, traceComp);
     // Pre-intern every kernel's name track so dispatch-time lookups
     // never append to the track table: track ids stay independent of
-    // runtime call order (identical across engine modes) and the scan
-    // is read-only under the parallel engine.
+    // runtime call order (identical across engine modes).
     if (t) {
         for (const auto &[entry, k] : microcode)
             t->internTrack(traceComp, k.prog.name());
@@ -825,8 +816,8 @@ Cell::nextEventAt(Cycle now) const
     // sequencer resumes whatever it was doing (a control op, a stale
     // but still poppable queue front, a landable writeback) with no
     // queue event to announce it. Report `now`; an early wake is
-    // always safe — a genuinely stalled cell re-sleeps on a fresh
-    // hint computed past the hang.
+    // always safe — a genuinely stalled cell reports a fresh hint
+    // past the hang on the next quiescent round.
     if (hangUntil != 0 && now == hangUntil)
         return now;
     // Pipeline results landing unblock RegPending/ResetFifo stalls and
@@ -938,10 +929,6 @@ Cell::done() const
 void
 Cell::hardReset(Cycle now)
 {
-    // External mutation entry point (the host's recovery path pulls
-    // the reset line): wake before touching anything so a sleeping
-    // cell replays against its pre-reset state.
-    wakeForMutation();
     for (TimedFifo *q : queueTab)
         q->reset(now);
     _tpi.reset(now);
@@ -974,7 +961,6 @@ Cell::hardReset(Cycle now)
 void
 Cell::markDead(Cycle now)
 {
-    wakeForMutation();
     hardReset(now);
     _dead = true;
     opac_warn_once("%s: marked dead at cycle %llu", name().c_str(),
@@ -984,7 +970,6 @@ Cell::markDead(Cycle now)
 void
 Cell::injectHang(Cycle now, Cycle duration)
 {
-    wakeForMutation();
     if (_dead)
         return;
     if (duration == 0) {
@@ -998,7 +983,6 @@ Cell::injectHang(Cycle now, Cycle duration)
 void
 Cell::injectSpuriousHalt(Cycle now)
 {
-    wakeForMutation();
     if (_dead || _faulted || state == SeqState::Idle)
         return;
     // The sequencer drops everything mid-kernel. Unconsumed parameter
@@ -1020,7 +1004,6 @@ Cell::injectSpuriousHalt(Cycle now)
 void
 Cell::enterFaulted(const char *why, Cycle now)
 {
-    wakeForMutation();
     if (_dead || _faulted)
         return;
     _faulted = true;

@@ -151,30 +151,6 @@ class Cell : public sim::Component
     std::string statusLine() const override;
 
     /**
-     * Cells only touch their own state and their own seven queues, so
-     * the parallel engine may tick them concurrently: the host sees a
-     * push at t no earlier than t + fifoLatency, and a same-cycle
-     * tpo.pop() only *frees* space the cell would observe anyway.
-     */
-    bool independent() const override { return true; }
-
-    /**
-     * Register the host as the wake target on the other end of the
-     * four interface queues (tpx/tpy/tpo/tpi), so a cell-side
-     * mutation — a result pushed on tpo, operands consumed from
-     * tpx/tpy — wakes a sleeping host under the event engine. Called
-     * once at coprocessor build time.
-     */
-    void
-    setBusWakeNeighbor(sim::Component *host)
-    {
-        _tpx.setWakeTargets(this, host);
-        _tpy.setWakeTargets(this, host);
-        _tpo.setWakeTargets(this, host);
-        _tpi.setWakeTargets(this, host);
-    }
-
-    /**
      * Idle-cycle skipping support: the cell's future events are FIFO
      * fronts falling through (any of the seven queues — tpo matters
      * to the host's Recv), FP/move pipeline results landing, and the

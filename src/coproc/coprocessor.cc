@@ -14,11 +14,7 @@ Coprocessor::Coprocessor(const CoprocConfig &cfg)
 {
     opac_assert(cfg.cells >= 1 && cfg.cells <= 32,
                 "cell count %u out of range [1, 32]", cfg.cells);
-    sim::EngineMode mode = cfg.engineMode;
-    if (mode == sim::EngineMode::Skip && !cfg.skipIdleCycles)
-        mode = sim::EngineMode::Spin;
-    eng.setMode(mode);
-    eng.setThreads(cfg.simThreads);
+    eng.setMode(cfg.engineMode);
     eng.setFastTier(cfg.fastTier);
     cell::CellConfig ccfg = cfg.cell;
     ccfg.fastTier = cfg.fastTier && cfg.cell.fastTier;
@@ -30,11 +26,6 @@ Coprocessor::Coprocessor(const CoprocConfig &cfg)
     }
     hostPtr = std::make_unique<host::Host>("host", cfg.host, mem, raw,
                                            &statRoot);
-    // A cell-side mutation of an interface queue (result pushed on
-    // tpo, operand drained from tpx/tpy) must wake a sleeping host,
-    // and vice versa.
-    for (auto &c : cellPtrs)
-        c->setBusWakeNeighbor(hostPtr.get());
     // The sampler ticks first so a sample labelled cycle k is the state
     // after exactly k completed cycles; then the host: data it pushes
     // at cycle t becomes visible to cells at t + fifoLatency either

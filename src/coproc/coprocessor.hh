@@ -37,30 +37,12 @@ struct CoprocConfig
     Cycle watchdogCycles = 200000; //!< deadlock detector
 
     /**
-     * Fast-forward the clock over quiescent stretches (default on).
-     * Bit-identical to spinning — cycle counts, statistics and trace
-     * events all match — so turning it off is only a debugging aid
-     * (the benches' --no-skip flag). Ignored when engineMode selects
-     * a scheduler explicitly; kept for existing callers of the
-     * skip/no-skip switch.
-     */
-    bool skipIdleCycles = true;
-
-    /**
-     * Which scheduler drives the clock (the benches' --engine= flag).
-     * All four are bit-identical in everything observable — simulated
-     * cycles, statistics, trace streams; see docs/PERFORMANCE.md.
-     * Skip honours skipIdleCycles (falling back to Spin when it is
-     * off); Event and Parallel select the per-component sleep
-     * scheduler and the sharded cell executor unconditionally.
+     * Which run loop drives the clock (the benches' --engine= flag):
+     * Skip (the default) or the Spin reference. Both are bit-identical
+     * in everything observable — simulated cycles, statistics, trace
+     * streams; see docs/PERFORMANCE.md.
      */
     sim::EngineMode engineMode = sim::EngineMode::Skip;
-
-    /**
-     * Worker threads for EngineMode::Parallel (0 = one per hardware
-     * thread, capped at the cell count). Ignored by the other modes.
-     */
-    unsigned simThreads = 0;
 
     /**
      * Snapshot every scalar statistic each N cycles into an in-memory

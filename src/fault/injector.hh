@@ -11,10 +11,10 @@
  *
  * Fast-forward correctness: nextEventAt() reports the cycle of the
  * next unarmed fault, so the engine's idle-cycle skipping can never
- * jump over an injection — faulted runs are cycle-identical with and
- * without --no-skip. Arming a fault is deliberately *not* engine
- * progress: a fault landing in a quiescent window must not keep the
- * watchdog alive by itself.
+ * jump over an injection — faulted runs are cycle-identical under
+ * --engine=spin and --engine=skip. Arming a fault is deliberately
+ * *not* engine progress: a fault landing in a quiescent window must
+ * not keep the watchdog alive by itself.
  */
 
 #ifndef OPAC_FAULT_INJECTOR_HH

@@ -31,7 +31,6 @@ TimedFifo::push(Word w, Cycle now)
 {
     opac_assert(space() > 0, "push on full FIFO '%s' (cap %zu)",
                 _name.c_str(), _capacity);
-    notifyMutation();
     ring[(head + count) & mask] = Entry{w, now + latency, encodeWord(w)};
     ++count;
     ++pushes;
@@ -48,7 +47,6 @@ void
 TimedFifo::reserve()
 {
     opac_assert(space() > 0, "reserve on full FIFO '%s'", _name.c_str());
-    notifyMutation();
     ++_reserved;
 }
 
@@ -57,7 +55,6 @@ TimedFifo::pushReserved(Word w, Cycle now)
 {
     opac_assert(_reserved > 0, "pushReserved without reservation on '%s'",
                 _name.c_str());
-    notifyMutation();
     --_reserved;
     ring[(head + count) & mask] = Entry{w, now + latency, encodeWord(w)};
     ++count;
@@ -76,7 +73,6 @@ TimedFifo::pop(Cycle now)
 {
     opac_assert(canPop(now), "pop on empty/not-ready FIFO '%s'",
                 _name.c_str());
-    notifyMutation();
     Word w = ring[head].word;
     if (parityMode != fault::ParityMode::Off)
         w = checkProtected(w, ring[head].ecc, now);
@@ -95,7 +91,6 @@ TimedFifo::recirculate(Cycle now)
 {
     opac_assert(canPop(now), "recirculate on empty/not-ready FIFO '%s'",
                 _name.c_str());
-    notifyMutation();
     Word w = ring[head].word;
     if (parityMode != fault::ParityMode::Off)
         w = checkProtected(w, ring[head].ecc, now);
@@ -132,7 +127,6 @@ TimedFifo::front(Cycle now) const
 void
 TimedFifo::reset(Cycle now)
 {
-    notifyMutation();
     std::size_t dropped = count;
     head = 0;
     count = 0;
@@ -195,7 +189,6 @@ TimedFifo::checkProtected(Word w, std::uint8_t ecc, Cycle now)
 void
 TimedFifo::faultCorrupt(Word xor_mask, Cycle now)
 {
-    notifyMutation();
     if (count == 0) {
         pendingCorrupt ^= xor_mask;
         return;
@@ -208,7 +201,6 @@ TimedFifo::faultCorrupt(Word xor_mask, Cycle now)
 void
 TimedFifo::faultReorder(Cycle now)
 {
-    notifyMutation();
     if (count < 2) {
         pendingReorder = true;
         return;

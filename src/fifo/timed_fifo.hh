@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "fault/fault.hh"
-#include "sim/engine.hh"
 #include "sim/replay.hh"
 #include "stats/stats.hh"
 #include "common/types.hh"
@@ -220,24 +219,6 @@ class TimedFifo
      */
     void attachTracer(trace::Tracer *t, std::uint16_t comp);
 
-    /**
-     * Register the engine components to wake ahead of every mutation
-     * of this queue: the component whose state this queue is part of
-     * (@p owner) and the component on the other end of the link
-     * (@p neighbor, null for cell-internal queues). Either may be
-     * sleeping under the event engine with a wake hint computed from
-     * this queue's current state; notifying them *before* the
-     * mutation lets the engine replay their slept-through cycles
-     * against exactly that state. Near-free when the event scheduler
-     * is not active.
-     */
-    void
-    setWakeTargets(sim::Component *owner, sim::Component *neighbor)
-    {
-        wakeOwner = owner;
-        wakeNeighbor = neighbor;
-    }
-
     /** Lifetime totals, usable without a StatGroup. */
     std::uint64_t totalPushes() const { return pushes.value(); }
     std::uint64_t totalPops() const { return pops.value(); }
@@ -338,19 +319,6 @@ class TimedFifo
 
     /** Apply armed corrupt/reorder faults to freshly pushed words. */
     void applyPendingFaults(Cycle now);
-
-    /** Wake both endpoints; called at the top of every mutator. */
-    void
-    notifyMutation()
-    {
-        if (wakeOwner)
-            wakeOwner->wakeForMutation();
-        if (wakeNeighbor)
-            wakeNeighbor->wakeForMutation();
-    }
-
-    sim::Component *wakeOwner = nullptr;
-    sim::Component *wakeNeighbor = nullptr;
 
     std::string _name;
     std::size_t _capacity;

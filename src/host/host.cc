@@ -200,9 +200,6 @@ Host::traceWord(Cycle now, unsigned cost)
 void
 Host::enqueue(HostOp op)
 {
-    // A host that ran out of program sleeps with no wake-up hint; new
-    // work must wake it (the replan path enqueues mid-run).
-    wakeForMutation();
     if (op.kind == HostOp::Kind::Compute)
         opac_assert(op.scalarDst < mem.size() && op.scalarSrc < mem.size(),
                     "compute op out of memory range");
@@ -248,9 +245,6 @@ Host::takeMemSpike()
 void
 Host::armBusFault(unsigned cell, fault::FaultKind kind)
 {
-    // External mutation (the injector's tick): wake a sleeping host
-    // before its state changes.
-    wakeForMutation();
     opac_assert(cell < cells.size(), "bus fault on cell %u of %zu", cell,
                 cells.size());
     if (kind == fault::FaultKind::BusDrop)
@@ -262,7 +256,6 @@ Host::armBusFault(unsigned cell, fault::FaultKind kind)
 void
 Host::armMemLatency(unsigned cycles)
 {
-    wakeForMutation();
     memSpike += cycles;
     ++statMemSpikes;
 }
@@ -578,7 +571,6 @@ Host::recoverTxn(Cycle now, sim::Engine &engine)
 bool
 Host::forceRecovery(sim::Engine &engine)
 {
-    wakeForMutation();
     if (!cfg.recovery.enabled || !inTxn)
         return false;
     ++statTimeouts;

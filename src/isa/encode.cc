@@ -111,6 +111,7 @@ encode(const Program &prog)
         w2.put(std::uint8_t(in.paramOp), 3);
         w2.put(in.dstParam, 4);
         w2.put(in.srcParam, 4);
+        w2.put(in.addA.idx, 5);
 
         std::uint32_t w3 = 0;
         if (in.op == Opcode::LoopBegin)
@@ -180,6 +181,7 @@ decode(const std::vector<std::uint32_t> &image, const std::string &name)
         in.paramOp = ParamOp(param_op);
         in.dstParam = std::uint8_t(r2.get(4));
         in.srcParam = std::uint8_t(r2.get(4));
+        in.addA.idx = std::uint8_t(r2.get(5));
 
         if (in.op == Opcode::LoopBegin)
             in.count = w3;

@@ -9,12 +9,16 @@
  * program downloads into a cell's microcode store -- and unpacks it back.
  * encode/decode round-trips exactly and decode rejects malformed words.
  *
- *   word 0: opcode(3) | mulA(4+5) | mulB(4+5) | addA(4) | addOp(2) |
- *           countIsParam(1) | fifo(2)
+ *   word 0: opcode(3) | mulA(4+5) | mulB(4+5) | addA kind(4) |
+ *           addOp(2) | countIsParam(1) | fifo(2)
  *   word 1: addB(4+5) | dstMask(6) | dstReg(5) | mvSrc(4+5)
  *   word 2: mvDstMask(6) | mvDstReg(5) | countParam(4) | paramOp(3) |
- *           dstParam(4) | srcParam(4)
+ *           dstParam(4) | srcParam(4) | addA index(5)
  *   word 3: loop count (LoopBegin) or immediate (SetParam), else 0
+ *
+ * Word 0 is full, so addA's register index lives in word 2's spare
+ * bits; images written before it moved there carry zeros in those
+ * bits and decode exactly as they always did.
  */
 
 #ifndef OPAC_ISA_ENCODE_HH

@@ -13,7 +13,7 @@
  *
  * Virtual-time edges are deterministic: the serve scheduler makes
  * every decision in simulated time, so a span stream is byte-identical
- * across engine modes, --sim-threads settings and reruns (the serve
+ * across engine modes, shard thread interleavings and reruns (the serve
  * extension of the determinism contract in docs/PERFORMANCE.md).
  * Each edge also carries a wall-clock nanosecond stamp for profiling
  * the simulator itself; wall times are excluded from json() unless

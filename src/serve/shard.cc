@@ -103,9 +103,7 @@ Shard::Shard(unsigned id, const ShardConfig &cfg)
     cc.host.recovery.retryBudget = cfg.retryBudget;
     cc.memoryWords = cfg.memoryWords;
     cc.watchdogCycles = cfg.watchdogCycles;
-    cc.skipIdleCycles = cfg.skipIdleCycles;
     cc.engineMode = cfg.engineMode;
-    cc.simThreads = cfg.simThreads;
     cc.fastTier = cfg.fastTier;
     cc.statsSampleInterval = cfg.statsSampleInterval;
     cc.faults = cfg.faults;

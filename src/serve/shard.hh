@@ -58,10 +58,8 @@ struct ShardConfig
     Cycle recoveryTimeout = 20000;
     unsigned retryBudget = 4;
 
-    // Engine selection (bit-identical across all modes).
+    // Engine selection (bit-identical across both modes).
     sim::EngineMode engineMode = sim::EngineMode::Skip;
-    bool skipIdleCycles = true;
-    unsigned simThreads = 0;
     /** Superop fast tier (byte-identical; forwards to CoprocConfig). */
     bool fastTier = true;
 

@@ -11,8 +11,6 @@
 namespace opac::sim
 {
 
-thread_local unsigned Engine::tlsSlot_ = 0;
-
 void
 Component::saveState(snap::Writer &w) const
 {
@@ -36,10 +34,6 @@ engineModeName(EngineMode m)
         return "spin";
       case EngineMode::Skip:
         return "skip";
-      case EngineMode::Event:
-        return "event";
-      case EngineMode::Parallel:
-        return "parallel";
     }
     return "?";
 }
@@ -47,8 +41,7 @@ engineModeName(EngineMode m)
 bool
 parseEngineMode(const std::string &text, EngineMode &out)
 {
-    for (EngineMode m : {EngineMode::Spin, EngineMode::Skip,
-                         EngineMode::Event, EngineMode::Parallel}) {
+    for (EngineMode m : {EngineMode::Spin, EngineMode::Skip}) {
         if (text == engineModeName(m)) {
             out = m;
             return true;
@@ -79,22 +72,6 @@ Engine::statusDump() const
     if (_tracer)
         out += _tracer->recentReport();
     return out;
-}
-
-Cycle
-Engine::run(Cycle max_cycles)
-{
-    switch (_mode) {
-      case EngineMode::Spin:
-        return runSerial(max_cycles, false);
-      case EngineMode::Skip:
-        return runSerial(max_cycles, true);
-      case EngineMode::Event:
-        return runEvent(max_cycles);
-      case EngineMode::Parallel:
-        return runParallel(max_cycles);
-    }
-    return 0;
 }
 
 Cycle
@@ -138,20 +115,16 @@ Engine::loadState(snap::Reader &r)
 }
 
 bool
-Engine::attemptBurst(Cycle start, Cycle max_cycles, bool event_mode)
+Engine::attemptBurst(Cycle start, Cycle max_cycles)
 {
     ++_burstAttempts;
     const unsigned n = static_cast<unsigned>(components.size());
 
     // Who can burst, and for how long? The window is the smallest
-    // granted quantum. Sleeping slots (event mode) are never bursters:
-    // their slept rounds have not been replayed, so their counters lag
-    // behind their architectural state.
+    // granted quantum.
     burstSlots_.clear();
     Cycle w = Component::noEvent;
     for (unsigned s = 0; s < n; ++s) {
-        if (event_mode && sleep_[s].asleep)
-            continue;
         Cycle q = components[s]->burstQuantum(cycle);
         if (q > 0) {
             burstSlots_.push_back(s);
@@ -167,9 +140,8 @@ Engine::attemptBurst(Cycle start, Cycle max_cycles, bool event_mode)
     // progress attributed in the round just executed, and a
     // nextEventAt hint strictly in the future (which then bounds the
     // window — the hint is valid precisely because the bursters touch
-    // nothing the passive component observes). A sleeping slot's wake
-    // time plays the role of its hint and it replays lazily on wake,
-    // exactly as it would across an all-asleep jump.
+    // nothing the passive component observes). The stats sampler's
+    // hint is its next boundary, so every sample sees live counters.
     auto passiveFail = [&] {
         burstFailed(cycle);
         return false;
@@ -180,27 +152,12 @@ Engine::attemptBurst(Cycle start, Cycle max_cycles, bool event_mode)
             ++nburst;
             continue;
         }
-        Component *c = components[s];
-        if (event_mode && sleep_[s].asleep) {
-            if (sleep_[s].wakeAt <= cycle)
-                return passiveFail();
-            w = std::min(w, sleep_[s].wakeAt - cycle);
-            continue;
-        }
         if (slotProg_[s])
             return passiveFail();
-        Cycle at = c->nextEventAt(cycle);
+        Cycle at = components[s]->nextEventAt(cycle);
         if (at <= cycle)
             return passiveFail();
         w = std::min(w, at - cycle);
-        // An observer tick (the stats sampler) must see every counter
-        // live; its hint normally coincides, but clamp explicitly.
-        Cycle ob = c->observesSystemAt(cycle);
-        if (ob != Component::noEvent) {
-            if (ob <= cycle)
-                return passiveFail();
-            w = std::min(w, ob - cycle);
-        }
     }
 
     // Deadline clamps, same as the skip jump: the watchdog and
@@ -222,7 +179,7 @@ Engine::attemptBurst(Cycle start, Cycle max_cycles, bool event_mode)
     // state the passives observe (the burstQuantum contract).
     burstBits_.assign(std::size_t((w + 63) / 64), 0);
     for (unsigned s : burstSlots_) {
-        tlsSlot_ = s;
+        tickSlot_ = s;
         components[s]->burstRun(cycle, w, *this, burstBits_.data());
     }
     nburst = 0;
@@ -231,8 +188,6 @@ Engine::attemptBurst(Cycle start, Cycle max_cycles, bool event_mode)
             ++nburst;
             continue;
         }
-        if (event_mode && sleep_[s].asleep)
-            continue;
         components[s]->fastForward(cycle, w, *this);
     }
 
@@ -277,13 +232,15 @@ Engine::burstFailed(Cycle at)
 }
 
 Cycle
-Engine::runSerial(Cycle max_cycles, bool skip)
+Engine::run(Cycle max_cycles)
 {
+    const bool skip = _mode == EngineMode::Skip;
+    const unsigned n = static_cast<unsigned>(components.size());
     Cycle start = cycle;
     // The watchdog and the skip hysteresis both derive from engine
     // time (cycles since the last round that made progress), not from
-    // tick-loop iterations, so every run mode counts idleness the
-    // same way no matter how its loop is shaped. A runUntil() stop
+    // tick-loop iterations, so both run modes count idleness the
+    // same way no matter how their loop is shaped. A runUntil() stop
     // carries the idle baseline forward so a resumed run counts
     // idleness from the same cycle an uninterrupted one would.
     lastProgress = cycle - std::min(idleCarry_, cycle);
@@ -293,7 +250,7 @@ Engine::runSerial(Cycle max_cycles, bool skip)
     const bool burst = skip && fastTier_ && !_tracer;
     attributeProgress_ = burst;
     if (burst) {
-        slotProg_.assign(components.size(), 0);
+        slotProg_.assign(n, 0);
         nextBurstTry_ = cycle;
         burstFailStreak_ = 0;
     }
@@ -319,27 +276,23 @@ Engine::runSerial(Cycle max_cycles, bool skip)
                        static_cast<unsigned long long>(cycle - start),
                        statusDump().c_str());
         }
-        progressed.store(false, std::memory_order_relaxed);
-        if (burst) {
+        progressed = false;
+        if (burst)
             std::fill(slotProg_.begin(), slotProg_.end(),
                       std::uint8_t(0));
-            for (auto *c : components) {
-                tlsSlot_ = c->slot();
-                c->tick(*this);
-            }
-        } else {
-            for (auto *c : components)
-                c->tick(*this);
+        for (unsigned s = 0; s < n; ++s) {
+            tickSlot_ = s;
+            components[s]->tick(*this);
         }
         ++cycle;
         ++statCycles;
-        if (progressed.load(std::memory_order_relaxed)) {
+        if (progressed) {
             lastProgress = cycle;
             // A streaming component is the burst opportunity: try to
             // hand it a multi-cycle quantum while everyone else is
             // provably passive.
             if (burst && cycle >= nextBurstTry_
-                && attemptBurst(start, max_cycles, false)
+                && attemptBurst(start, max_cycles)
                 && watchdogCycles != 0
                 && cycle - lastProgress >= watchdogCycles)
                 watchdogExpired();

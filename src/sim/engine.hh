@@ -14,47 +14,29 @@
  * characteristic failure mode of this architecture, and silent hangs are
  * useless.
  *
- * The engine has four run modes, all bit-identical in simulated cycles,
+ * The engine has two run loops, bit-identical in simulated cycles,
  * statistics and trace output (EngineMode):
  *
- *  - Spin:     tick every component every cycle. The reference model.
- *  - Skip:     whole-system idle-cycle skipping (the default). After a
- *              tick round in which no component reported progress, the
- *              engine asks every component for the earliest future cycle
- *              at which it could act on its own (nextEventAt) and jumps
- *              the clock to the minimum hint; components replay the
- *              per-cycle side effects of the skipped quiescent rounds in
- *              fastForward (stall counters, occupancy samples, per-cycle
- *              stall trace events). A component that cannot predict its
- *              wake-up returns `now` (the default), which disables
- *              skipping while it is live; `noEvent` means it only ever
- *              reacts to other components.
- *  - Event:    per-component scheduling. A component that reports no
- *              progress for two consecutive rounds is put to sleep until
- *              its own nextEventAt hint — individually, even while the
- *              rest of the machine streams. Slept-through rounds are
- *              replayed lazily (fastForward) when the component wakes:
- *              at its hint, or early when a neighbor is about to mutate
- *              one of its FIFOs (Component::wakeForMutation, called
- *              before the mutation so the replay still sees the state
- *              the sleep hint was computed against).
- *  - Parallel: every cycle, the serial components (sampler, injector,
- *              host) tick in registration order on the main thread, then
- *              the independent() components (the cells — they never
- *              touch each other's state) are sharded across a worker
- *              pool and ticked concurrently, with a barrier per cycle.
- *              Quiescent stretches are skipped exactly as in Skip mode.
- *
- * In Event and Parallel mode trace events are staged per component slot
- * and merged back into exact (cycle, slot) serial order before reaching
- * the sinks (trace::Tracer ordered mode), so trace output stays byte-
- * identical to a Spin run.
+ *  - Spin: tick every component every cycle. The reference model.
+ *  - Skip: the default. After a tick round in which no component
+ *          reported progress, the engine asks every component for the
+ *          earliest future cycle at which it could act on its own
+ *          (nextEventAt) and jumps the clock to the minimum hint;
+ *          components replay the per-cycle side effects of the
+ *          skipped quiescent rounds in fastForward (stall counters,
+ *          occupancy samples, per-cycle stall trace events). A
+ *          component that cannot predict its wake-up returns `now`
+ *          (the default), which disables skipping while it is live;
+ *          `noEvent` means it only ever reacts to other components.
+ *          With the fast tier on and no tracer attached, Skip also
+ *          hands a streaming component a multi-cycle burst quantum
+ *          while every other component is provably passive
+ *          (burstQuantum / burstRun).
  */
 
 #ifndef OPAC_SIM_ENGINE_HH
 #define OPAC_SIM_ENGINE_HH
 
-#include <atomic>
 #include <functional>
 #include <string>
 #include <vector>
@@ -78,13 +60,11 @@ namespace opac::sim
 
 class Engine;
 
-/** How Engine::run() advances the clock. All modes are bit-identical. */
+/** How Engine::run() advances the clock. Both modes are bit-identical. */
 enum class EngineMode
 {
-    Spin,     //!< tick everything every cycle (reference model)
-    Skip,     //!< whole-system idle-cycle skipping (default)
-    Event,    //!< per-component sleep/wake scheduling
-    Parallel, //!< per-cycle parallel ticking of independent components
+    Spin, //!< tick everything every cycle (reference model)
+    Skip, //!< idle-cycle skipping and fast-tier bursts (default)
 };
 
 /** Lower-case mode name as used on --engine= command lines. */
@@ -212,50 +192,10 @@ class Component
      */
     virtual void loadState(snap::Reader &r, std::uint32_t version);
 
-    /**
-     * True when tick() only ever touches this component's own state
-     * and its own FIFOs, never another component's: the parallel
-     * engine may then tick it concurrently with other independent
-     * components. Independent components must be registered after
-     * every serial one (the engine asserts this).
-     */
-    virtual bool independent() const { return false; }
-
-    /**
-     * Next cycle >= now at which this component's tick reads OTHER
-     * components' externally visible state (the stats sampler
-     * snapshotting every counter in the tree is the one such case).
-     * The event engine catches every sleeping component up before
-     * such a tick so the observation matches the serial run. noEvent
-     * (the default) means the tick only touches its own state.
-     */
-    virtual Cycle observesSystemAt(Cycle now) const
-    {
-        (void)now;
-        return noEvent;
-    }
-
-    /**
-     * Notify the engine that some other agent is about to mutate this
-     * component's externally visible state: a neighbor pushing into or
-     * popping from one of its FIFOs, a fault arming, a forced reset.
-     * Must be called BEFORE the mutation — the event engine replays
-     * the slept-through cycles first, while the pre-mutation state
-     * the sleep hint was computed against still holds. No-op unless
-     * the event scheduler is active and this component is asleep.
-     */
-    void wakeForMutation();
-
-    /** Engine slot index, assigned by Engine::add(). */
-    unsigned slot() const { return _slot; }
-
     const std::string &name() const { return _name; }
 
   private:
-    friend class Engine;
     std::string _name;
-    Engine *_engine = nullptr;
-    unsigned _slot = 0;
 };
 
 /** The clock and run loop. */
@@ -278,38 +218,27 @@ class Engine
     }
 
     /** Register a component; it must outlive the engine. */
-    void
-    add(Component *c)
-    {
-        c->_engine = this;
-        c->_slot = static_cast<unsigned>(components.size());
-        components.push_back(c);
-    }
+    void add(Component *c) { components.push_back(c); }
 
     Cycle now() const { return cycle; }
 
     /**
      * Components call this from tick() when they made forward
-     * progress. Relaxed ordering suffices: the parallel engine's
-     * per-cycle barrier orders the store against the main thread's
-     * end-of-round load.
+     * progress.
      *
      * With the fast tier enabled the progress is also attributed to
-     * the component being ticked (slot set by the run loops via
-     * thread-local state): a burst attempt must prove components
-     * individually quiescent, because a component's nextEventAt hint
-     * alone cannot — a FIFO front that became ready strictly before
-     * `now` reports no event even while its consumer is streaming.
-     * Slots are distinct bytes of slotProg_, so concurrent writers in
-     * parallel mode never race; the per-cycle barrier orders them
-     * against the main thread's reads.
+     * the component being ticked: a burst attempt must prove
+     * components individually quiescent, because a component's
+     * nextEventAt hint alone cannot — a FIFO front that became ready
+     * strictly before `now` reports no event even while its consumer
+     * is streaming.
      */
     void
     noteProgress()
     {
-        progressed.store(true, std::memory_order_relaxed);
+        progressed = true;
         if (attributeProgress_)
-            slotProg_[tlsSlot_] = 1;
+            slotProg_[tickSlot_] = 1;
     }
 
     /**
@@ -323,7 +252,7 @@ class Engine
      * Run until the clock reaches @p stop (or everything is done,
      * whichever comes first) and return the cycles simulated. The
      * machine is left in exactly the state a run() would pass through
-     * at cycle @p stop — counters settled, slept rounds replayed — so
+     * at cycle @p stop — counters settled, skipped rounds replayed — so
      * it can be snapshotted and the run continued (by run() or
      * another runUntil()) with byte-identical results. The idle-time
      * baseline the watchdog and skip hysteresis derive from is
@@ -336,10 +265,10 @@ class Engine
     /**
      * Serialize the engine-level mutable state (the clock and the
      * carried idle baseline). Registered stats (cycles/idleCycles)
-     * travel with the stats tree; per-mode scheduler scratch
-     * (sleep lists, burst backoff) re-initializes at run entry and
-     * is deliberately not saved — all modes are byte-identical, so a
-     * resumed run may even switch modes.
+     * travel with the stats tree; scheduler scratch (burst backoff)
+     * re-initializes at run entry and is deliberately not saved —
+     * both modes are byte-identical, so a resumed run may even
+     * switch modes.
      */
     void saveState(snap::Writer &w) const;
     void loadState(snap::Reader &r);
@@ -381,36 +310,17 @@ class Engine
 
     /**
      * Select the run mode (default Skip). Results are bit-identical
-     * in every mode; Spin is the debugging escape hatch and the
+     * in both modes; Spin is the debugging escape hatch and the
      * reference the golden-equivalence suite compares against.
      */
     void setMode(EngineMode m) { _mode = m; }
     EngineMode mode() const { return _mode; }
 
     /**
-     * Worker count for Parallel mode (0 = one worker per hardware
-     * thread). Effective parallelism is additionally capped by the
-     * number of independent components; with one worker the parallel
-     * engine degrades to the serial Skip loop.
-     */
-    void setThreads(unsigned n) { _threads = n; }
-    unsigned threads() const { return _threads; }
-
-    /**
-     * Back-compat shim for the pre-mode API: maps onto Skip / Spin.
-     */
-    void
-    setSkipEnabled(bool on)
-    {
-        _mode = on ? EngineMode::Skip : EngineMode::Spin;
-    }
-    bool skipEnabled() const { return _mode != EngineMode::Spin; }
-
-    /**
      * Enable the superop fast tier (default off at the engine level;
      * the coprocessor turns it on from its config). When on, the
-     * Skip/Event/Parallel run loops may grant a component advertising
-     * a burstQuantum() a multi-cycle quantum and bulk-replay every
+     * Skip run loop may grant a component advertising a
+     * burstQuantum() a multi-cycle quantum and bulk-replay every
      * other (provably passive) component across the window. Spin mode
      * never bursts — it stays the pure per-cycle reference — and a
      * run with a tracer attached never bursts either, so every output
@@ -435,44 +345,16 @@ class Engine
     std::uint64_t burstCycles() const { return _burstCycles; }
 
   private:
-    friend class Component;
-
-    /** The serial run loop: Spin (skip == false) and Skip modes. */
-    Cycle runSerial(Cycle max_cycles, bool skip);
-    /** The per-component sleep/wake scheduler (Event mode). */
-    Cycle runEvent(Cycle max_cycles);
-    /** The per-cycle worker-pool scheduler (Parallel mode). */
-    Cycle runParallel(Cycle max_cycles);
-
-    /**
-     * Event-mode wake entry point (from Component::wakeForMutation).
-     * Hot-path guard inline; the replay lives in the scheduler TU.
-     */
-    void
-    wakeComponent(unsigned slot)
-    {
-        if (!eventActive_ || !sleep_[slot].asleep)
-            return;
-        wakeComponentSlow(slot);
-    }
-    void wakeComponentSlow(unsigned slot);
-
-    /** Replay a sleeping slot's rounds [sleptFrom, upTo). */
-    void replaySlot(unsigned slot, Cycle upTo);
-    /** Replay every sleeping slot through round upTo - 1. */
-    void catchUpAll(Cycle upTo);
-
     /**
      * Superop burst: collect every component granting a quantum, prove
      * the rest passive for the window (no progress attributed in the
-     * round just executed and a future-only nextEventAt hint — or, in
-     * event mode, asleep with a wake past the window), execute the
-     * bursters in bulk and fast-forward the passives. Returns true
+     * round just executed and a future-only nextEventAt hint), execute
+     * the bursters in bulk and fast-forward the passives. Returns true
      * when a burst ran (the clock advanced); the caller re-checks the
      * watchdog. @p start / @p max_cycles clamp the window to the run
-     * deadline; @p event_mode applies the sleeping-slot rules.
+     * deadline.
      */
-    bool attemptBurst(Cycle start, Cycle max_cycles, bool event_mode);
+    bool attemptBurst(Cycle start, Cycle max_cycles);
 
     /** Burst windows shorter than this lose to their own setup cost. */
     static constexpr Cycle minBurstCycles = 4;
@@ -502,19 +384,10 @@ class Engine
     /** Record a failed burst attempt and schedule the next probe. */
     void burstFailed(Cycle at);
 
-    /** Per-slot scheduling state (Event mode). */
-    struct SleepState
-    {
-        Cycle wakeAt = 0;            //!< scheduled wake-up cycle
-        Cycle sleptFrom = 0;         //!< first round not yet replayed
-        std::uint32_t idleTicks = 0; //!< consecutive no-progress ticks
-        bool asleep = false;
-    };
-
     std::vector<Component *> components;
     Cycle cycle = 0;
     /**
-     * Early-stop deadline for runUntil(): every run loop breaks when
+     * Early-stop deadline for runUntil(): the run loop breaks when
      * the clock reaches it, and every skip jump / burst window is
      * clamped to it so the stop lands on the exact cycle. cycleNever
      * when a plain run() is active.
@@ -522,7 +395,7 @@ class Engine
     Cycle stopAt_ = cycleNever;
     /**
      * Cycles of idleness (cycle - lastProgress) carried across a
-     * runUntil() boundary. Run loops normally reset their idle
+     * runUntil() boundary. The run loop normally resets its idle
      * baseline at entry; consuming this carry instead keeps watchdog
      * expiry and skip hysteresis on the same cycles as an
      * uninterrupted run. Zero after natural completion, so multi-run
@@ -531,12 +404,8 @@ class Engine
     Cycle idleCarry_ = 0;
     Cycle watchdogCycles;
     WatchdogHandler watchdogHandler;
-    std::atomic<bool> progressed{false};
+    bool progressed = false;
     EngineMode _mode = EngineMode::Skip;
-    unsigned _threads = 0;
-    std::vector<SleepState> sleep_;
-    bool eventActive_ = false;
-    unsigned currentSlot_ = 0;
     Cycle lastProgress = 0;
     std::uint64_t _fastForwards = 0;
     std::uint64_t _skippedCycles = 0;
@@ -550,20 +419,12 @@ class Engine
     std::uint64_t _burstAttempts = 0;
     std::uint64_t _bursts = 0;
     std::uint64_t _burstCycles = 0;
-    /** Slot of the component the current thread is ticking. */
-    static thread_local unsigned tlsSlot_;
+    unsigned tickSlot_ = 0; //!< slot of the component being ticked
     trace::Tracer *_tracer = nullptr;
     stats::StatGroup statGroup;
     stats::Counter statCycles;
     stats::Counter statIdleCycles;
 };
-
-inline void
-Component::wakeForMutation()
-{
-    if (_engine)
-        _engine->wakeComponent(_slot);
-}
 
 } // namespace opac::sim
 

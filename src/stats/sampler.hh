@@ -68,18 +68,6 @@ class Sampler : public sim::Component
     }
 
     /**
-     * On a boundary cycle the sampler reads every counter in the
-     * system: the event engine must replay all sleeping components up
-     * to that cycle first, so the snapshot sees the same values a
-     * tick-everything engine would have accumulated.
-     */
-    Cycle
-    observesSystemAt(Cycle now) const override
-    {
-        return now % _interval == 0 ? now : noEvent;
-    }
-
-    /**
      * Record a snapshot at cycle @p now. Idempotent per cycle, so the
      * end-of-run snapshot cannot double-record a cycle the periodic
      * tick already captured.

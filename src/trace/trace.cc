@@ -77,52 +77,6 @@ stallWhyName(StallWhy w)
     return "?";
 }
 
-thread_local unsigned Tracer::tlsEmitSlot = 0;
-
-void
-Tracer::beginOrdered(unsigned slots)
-{
-    opac_assert(!_ordered, "tracer already in ordered mode");
-    _ordered = true;
-    _slotBuf.assign(slots, {});
-    tlsEmitSlot = 0;
-}
-
-void
-Tracer::flushOrdered(Cycle watermark)
-{
-    // Repeatedly pick the lowest staged cycle below the watermark and
-    // drain every slot's run of events at that cycle, in slot order.
-    // Per-slot queues are cycle-sorted by construction (live ticks
-    // emit at the current cycle, replays ascend through past cycles),
-    // so only the fronts need comparing.
-    for (;;) {
-        Cycle c = cycleNever;
-        for (const auto &q : _slotBuf) {
-            if (!q.empty() && q.front().cycle < c)
-                c = q.front().cycle;
-        }
-        if (c == cycleNever || c >= watermark)
-            return;
-        for (auto &q : _slotBuf) {
-            while (!q.empty() && q.front().cycle == c) {
-                deliver(q.front());
-                q.pop_front();
-            }
-        }
-    }
-}
-
-void
-Tracer::endOrdered()
-{
-    if (!_ordered)
-        return;
-    flushOrdered(cycleNever);
-    _slotBuf.clear();
-    _ordered = false;
-}
-
 std::uint16_t
 Tracer::internComponent(const std::string &name)
 {

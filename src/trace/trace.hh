@@ -151,59 +151,17 @@ class Tracer
     /** Register a sink; it must outlive the tracer. */
     void addSink(Sink *s) { sinks.push_back(s); }
 
-    /**
-     * Record one event. In direct mode (the default) it fans out to
-     * every sink immediately. In ordered mode (see beginOrdered) it is
-     * appended to the per-slot staging queue of the current emit slot
-     * instead, and reaches the sinks only via flushOrdered(), merged
-     * back into the exact (cycle, slot) serial order.
-     */
+    /** Record one event and fan it out to every sink. */
     void
     emit(Cycle cycle, EventKind kind, std::uint8_t arg, std::uint16_t comp,
          std::uint16_t track = 0, std::uint32_t a = 0, std::uint32_t b = 0)
     {
         Event e{cycle, kind, arg, comp, track, a, b};
-        if (_ordered) {
-            _slotBuf[tlsEmitSlot].push_back(e);
-            return;
-        }
-        deliver(e);
+        ++_eventCount;
+        noteRecent(e);
+        for (Sink *s : sinks)
+            s->event(*this, e);
     }
-
-    /**
-     * Enter ordered-delivery mode with @p slots staging queues — one
-     * per engine component slot. Used by the event and parallel engine
-     * schedulers, where components emit out of serial order (lazy
-     * replay of slept cycles, concurrent cell ticks): each emission is
-     * tagged with the emitting component's slot (setEmitSlot) and
-     * buffered; flushOrdered() releases events to the sinks in
-     * (cycle, slot, per-slot emission order) — byte-identical to the
-     * stream a serial run would have produced. Each staging queue is
-     * only ever appended to by one thread at a time (the thread
-     * ticking that slot), so no locking is needed.
-     */
-    void beginOrdered(unsigned slots);
-
-    /**
-     * Select the staging queue subsequent emit() calls append to on
-     * the calling thread. The engine sets this before every tick()
-     * and fastForward() call while ordered mode is active.
-     */
-    static void setEmitSlot(unsigned slot) { tlsEmitSlot = slot; }
-
-    /**
-     * Deliver every staged event with cycle < @p watermark to the
-     * sinks, merging the per-slot queues by (cycle, slot). The caller
-     * guarantees no future emission can carry a cycle below the
-     * watermark (every slot is either live at the current cycle or
-     * asleep with its replay resumption point at or above it).
-     */
-    void flushOrdered(Cycle watermark);
-
-    /** Flush everything still staged and return to direct mode. */
-    void endOrdered();
-
-    bool ordered() const { return _ordered; }
 
     /** Flush sinks; call once when the simulation ends. */
     void finish(Cycle end);
@@ -223,16 +181,6 @@ class Tracer
   private:
     void noteRecent(const Event &e);
 
-    /** Count, ring-buffer and fan out one event (final serial order). */
-    void
-    deliver(const Event &e)
-    {
-        ++_eventCount;
-        noteRecent(e);
-        for (Sink *s : sinks)
-            s->event(*this, e);
-    }
-
     std::vector<std::string> compNames;
     std::vector<std::string> trackNames;
     std::vector<std::uint16_t> trackOwner;
@@ -241,9 +189,6 @@ class Tracer
     unsigned recentDepth;
     std::uint64_t _eventCount = 0;
     bool finished = false;
-    bool _ordered = false;
-    std::vector<std::deque<Event>> _slotBuf; //!< indexed by emit slot
-    static thread_local unsigned tlsEmitSlot;
 };
 
 /** A sink that retains every event in memory (tests, small runs). */

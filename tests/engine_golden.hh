@@ -1,0 +1,185 @@
+/**
+ * @file
+ * Shared harness for the engine suites: runs one planner workload on a
+ * small machine under a chosen engine mode (optionally traced, faulted
+ * or with the fast tier off) and collects everything the golden checks
+ * compare — cycles, statistics JSON, the trace event stream and the
+ * engine's skip/burst diagnostics.
+ */
+
+#ifndef OPAC_TESTS_ENGINE_GOLDEN_HH
+#define OPAC_TESTS_ENGINE_GOLDEN_HH
+
+#include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
+
+#include "coproc/coprocessor.hh"
+#include "fault/fault.hh"
+#include "kernels/kernel_set.hh"
+#include "planner/linalg_plan.hh"
+#include "trace/trace.hh"
+
+namespace opac::test
+{
+
+enum class Workload
+{
+    MatUpdate,
+    Lu,
+    Trmm,
+    Syrk,
+};
+
+inline constexpr Workload kAllLoads[] = {Workload::MatUpdate, Workload::Lu,
+                                         Workload::Trmm, Workload::Syrk};
+
+inline const char *
+workloadName(Workload w)
+{
+    switch (w) {
+      case Workload::MatUpdate:
+        return "matupdate";
+      case Workload::Lu:
+        return "lu";
+      case Workload::Trmm:
+        return "trmm";
+      case Workload::Syrk:
+        return "syrk";
+    }
+    return "?";
+}
+
+/** Machine shape of one run. */
+struct Shape
+{
+    unsigned p;
+    std::size_t tf;
+    unsigned tau;
+};
+
+struct RunOut
+{
+    Cycle cycles = 0;
+    std::string statsJson;
+    std::vector<trace::Event> events;
+    std::uint64_t fastForwards = 0;
+    std::uint64_t skippedCycles = 0;
+    std::uint64_t bursts = 0;
+};
+
+/**
+ * Active faults shared by every faulted run: correctable FIFO flips,
+ * transient hangs and memory-latency spikes, dense enough (rate is
+ * per Mcycle over the horizon) that several land inside even the
+ * smallest workload here.
+ */
+inline constexpr const char *kFaultSpec =
+    "seed=7,rate=500,horizon=20000,kinds=flip+hang+mem,bits=1";
+
+inline RunOut
+runWorkload(Workload w, Shape s, sim::EngineMode mode, bool traced,
+            bool faulted = false, bool fast_tier = true)
+{
+    using namespace planner;
+
+    copro::CoprocConfig cfg;
+    cfg.cells = s.p;
+    cfg.cell.tf = s.tf;
+    cfg.host.tau = s.tau;
+    cfg.watchdogCycles = 500000;
+    cfg.statsSampleInterval = 64;
+    cfg.engineMode = mode;
+    cfg.fastTier = fast_tier;
+    if (faulted) {
+        cfg.faults = fault::parseFaultSpec(kFaultSpec);
+        cfg.cell.parity = fault::ParityMode::Correct;
+    }
+    copro::Coprocessor sys(cfg);
+    kernels::installStandardKernels(sys);
+
+    trace::Tracer tracer;
+    trace::VectorSink sink;
+    if (traced) {
+        tracer.addSink(&sink);
+        sys.attachTracer(&tracer);
+    }
+
+    LinalgPlanner plan(sys);
+    const std::size_t n = 24, k = 40;
+    switch (w) {
+      case Workload::MatUpdate: {
+        MatRef c = allocMat(sys.memory(), n, n);
+        MatRef a = allocMat(sys.memory(), n, k);
+        MatRef b = allocMat(sys.memory(), k, n);
+        plan.matUpdate(c, a, b);
+        break;
+      }
+      case Workload::Lu: {
+        MatRef a = allocMat(sys.memory(), n, n);
+        for (std::size_t i = 0; i < n; ++i)
+            sys.memory().storeF(a.addrOf(i, i), 2.0f);
+        plan.lu(a);
+        break;
+      }
+      case Workload::Trmm: {
+        MatRef u = allocMat(sys.memory(), n, n);
+        MatRef b = allocMat(sys.memory(), n, 16);
+        MatRef out = allocMat(sys.memory(), n, 16);
+        plan.trmmLeftUpper(out, u, b);
+        break;
+      }
+      case Workload::Syrk: {
+        MatRef c = allocMat(sys.memory(), n, n);
+        MatRef a = allocMat(sys.memory(), n, 16);
+        plan.syrkLower(c, a);
+        break;
+      }
+    }
+    plan.commit();
+
+    RunOut out;
+    out.cycles = sys.run();
+    out.statsJson = sys.statsJson();
+    out.events = std::move(sink.events);
+    out.fastForwards = sys.engine().fastForwards();
+    out.skippedCycles = sys.engine().skippedCycles();
+    out.bursts = sys.engine().bursts();
+    return out;
+}
+
+inline void
+expectSameEvents(const std::vector<trace::Event> &ref,
+                 const std::vector<trace::Event> &got, const char *what)
+{
+    ASSERT_EQ(ref.size(), got.size()) << what;
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+        const trace::Event &a = ref[i];
+        const trace::Event &b = got[i];
+        ASSERT_TRUE(a.cycle == b.cycle && a.kind == b.kind &&
+                    a.arg == b.arg && a.comp == b.comp &&
+                    a.track == b.track && a.a == b.a && a.b == b.b)
+            << what << ": event " << i << " differs (cycle "
+            << a.cycle << " vs " << b.cycle << ")";
+    }
+}
+
+inline std::string
+label(const char *what, Shape s)
+{
+    return std::string(what) + " P=" + std::to_string(s.p)
+           + " tf=" + std::to_string(s.tf) + " tau="
+           + std::to_string(s.tau);
+}
+
+// The P=1 and P=4 shapes every spin-vs-skip property is checked at.
+inline constexpr Shape kOneCell = {1, 256, 2};
+inline constexpr Shape kFourCells = {4, 256, 2};
+inline constexpr Shape kGoldenShapes[] = {kOneCell, kFourCells};
+inline constexpr sim::EngineMode kModes[] = {sim::EngineMode::Spin,
+                                             sim::EngineMode::Skip};
+
+} // namespace opac::test
+
+#endif // OPAC_TESTS_ENGINE_GOLDEN_HH

@@ -1,378 +1,65 @@
 /**
  * @file
- * Golden-equivalence suite for the two-level scheduler: every engine
- * mode (spin, skip, event, parallel) must produce bit-identical
- * results — same cycle count, same statistics JSON (including the
- * sampled time series), same trace event stream — on every workload,
- * with and without active fault injection. Parallel-mode runs at
- * P >= 4 with a real worker pool are the TSan target for the sharded
- * cell execution.
+ * Thread-level parallelism around the simulator. Each simulation runs
+ * on one thread; the parallel sweep runner fans independent
+ * Coprocessor instances across a thread pool. A multi-threaded sweep
+ * must return exactly the results of a serial one, in task order, and
+ * propagate the lowest-index failure. This suite is the TSan target
+ * for the simulator's thread-safety claims; it shares its harness with
+ * the spin-vs-skip golden suite (engine_golden.hh).
  */
 
 #include <gtest/gtest.h>
 
-#include <string>
+#include <functional>
+#include <stdexcept>
 #include <vector>
 
-#include "fault/fault.hh"
-#include "kernels/kernel_set.hh"
-#include "planner/linalg_plan.hh"
-#include "trace/trace.hh"
+#include "engine_golden.hh"
+#include "sim/sweep.hh"
 
 using namespace opac;
-using namespace opac::planner;
-using copro::CoprocConfig;
-using copro::Coprocessor;
+using namespace opac::test;
 using sim::EngineMode;
 
-namespace
+TEST(SweepRunner, ParallelResultsMatchSerialInOrder)
 {
-
-enum class Workload
-{
-    MatUpdate,
-    Lu,
-    Trmm,
-    Syrk,
-};
-
-const char *
-workloadName(Workload w)
-{
-    switch (w) {
-      case Workload::MatUpdate:
-        return "matupdate";
-      case Workload::Lu:
-        return "lu";
-      case Workload::Trmm:
-        return "trmm";
-      case Workload::Syrk:
-        return "syrk";
-    }
-    return "?";
-}
-
-struct RunOut
-{
-    Cycle cycles = 0;
-    std::string statsJson;
-    std::vector<trace::Event> events;
-    std::uint64_t fastForwards = 0;
-    std::uint64_t skippedCycles = 0;
-    std::uint64_t bursts = 0;
-};
-
-/**
- * Active faults shared by every faulted run: correctable FIFO flips,
- * transient hangs and memory-latency spikes, dense enough (rate is
- * per Mcycle over the horizon) that several land inside even the
- * smallest workload here.
- */
-const char *kFaultSpec =
-    "seed=7,rate=500,horizon=20000,kinds=flip+hang+mem,bits=1";
-
-RunOut
-runWorkload(Workload w, unsigned p, EngineMode mode, unsigned threads,
-            bool traced, bool faulted, bool fast_tier = true)
-{
-    CoprocConfig cfg;
-    cfg.cells = p;
-    cfg.cell.tf = 256;
-    cfg.host.tau = 2;
-    cfg.watchdogCycles = 500000;
-    cfg.skipIdleCycles = true;
-    cfg.statsSampleInterval = 64;
-    cfg.engineMode = mode;
-    cfg.simThreads = threads;
-    cfg.fastTier = fast_tier;
-    if (faulted) {
-        cfg.faults = fault::parseFaultSpec(kFaultSpec);
-        cfg.cell.parity = fault::ParityMode::Correct;
-    }
-    Coprocessor sys(cfg);
-    kernels::installStandardKernels(sys);
-
-    trace::Tracer tracer;
-    trace::VectorSink sink;
-    if (traced) {
-        tracer.addSink(&sink);
-        sys.attachTracer(&tracer);
-    }
-
-    LinalgPlanner plan(sys);
-    const std::size_t n = 24, k = 40;
-    switch (w) {
-      case Workload::MatUpdate: {
-        MatRef c = allocMat(sys.memory(), n, n);
-        MatRef a = allocMat(sys.memory(), n, k);
-        MatRef b = allocMat(sys.memory(), k, n);
-        plan.matUpdate(c, a, b);
-        break;
-      }
-      case Workload::Lu: {
-        MatRef a = allocMat(sys.memory(), n, n);
-        for (std::size_t i = 0; i < n; ++i)
-            sys.memory().storeF(a.addrOf(i, i), 2.0f);
-        plan.lu(a);
-        break;
-      }
-      case Workload::Trmm: {
-        MatRef u = allocMat(sys.memory(), n, n);
-        MatRef b = allocMat(sys.memory(), n, 16);
-        MatRef out = allocMat(sys.memory(), n, 16);
-        plan.trmmLeftUpper(out, u, b);
-        break;
-      }
-      case Workload::Syrk: {
-        MatRef c = allocMat(sys.memory(), n, n);
-        MatRef a = allocMat(sys.memory(), n, 16);
-        plan.syrkLower(c, a);
-        break;
-      }
-    }
-    plan.commit();
-
-    RunOut out;
-    out.cycles = sys.run();
-    out.statsJson = sys.statsJson();
-    out.events = std::move(sink.events);
-    out.fastForwards = sys.engine().fastForwards();
-    out.skippedCycles = sys.engine().skippedCycles();
-    out.bursts = sys.engine().bursts();
-    return out;
-}
-
-void
-expectSameEvents(const std::vector<trace::Event> &ref,
-                 const std::vector<trace::Event> &got, const char *what)
-{
-    ASSERT_EQ(ref.size(), got.size()) << what;
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-        const trace::Event &a = ref[i];
-        const trace::Event &b = got[i];
-        ASSERT_TRUE(a.cycle == b.cycle && a.kind == b.kind &&
-                    a.arg == b.arg && a.comp == b.comp &&
-                    a.track == b.track && a.a == b.a && a.b == b.b)
-            << what << ": event " << i << " differs (cycle "
-            << a.cycle << " vs " << b.cycle << ")";
-    }
-}
-
-const EngineMode kFastModes[] = {EngineMode::Skip, EngineMode::Event,
-                                 EngineMode::Parallel};
-
-} // anonymous namespace
-
-// ---------------------------------------------------------------------
-// Four-mode golden equivalence
-// ---------------------------------------------------------------------
-
-TEST(EngineModes, EveryWorkloadMatchesSpinInEveryMode)
-{
-    const Workload loads[] = {Workload::MatUpdate, Workload::Lu,
-                              Workload::Trmm, Workload::Syrk};
-    for (Workload w : loads) {
-        RunOut spin = runWorkload(w, 4, EngineMode::Spin, 0, false,
-                                  false);
-        for (EngineMode m : kFastModes) {
-            RunOut got = runWorkload(w, 4, m, 4, false, false);
-            EXPECT_EQ(spin.cycles, got.cycles)
-                << workloadName(w) << " mode=" << sim::engineModeName(m);
-            EXPECT_EQ(spin.statsJson, got.statsJson)
-                << workloadName(w) << " mode=" << sim::engineModeName(m);
+    // Each task runs a full simulation; the multi-threaded sweep must
+    // return exactly the serial results in task order. This is the
+    // TSan target for the simulator's "no shared mutable state between
+    // Coprocessor instances" claim.
+    std::vector<std::function<Cycle()>> tasks;
+    for (Workload w : kAllLoads) {
+        for (unsigned p : {1u, 2u}) {
+            tasks.push_back([w, p] {
+                return runWorkload(w, {p, 256, 2}, EngineMode::Skip,
+                                   false)
+                    .cycles;
+            });
         }
     }
+    auto serial = sim::sweep<Cycle>(tasks, 1);
+    auto parallel = sim::sweep<Cycle>(tasks, 4);
+    ASSERT_EQ(serial.size(), tasks.size());
+    EXPECT_EQ(serial, parallel);
 }
 
-TEST(EngineModes, TraceStreamIsIdenticalInEveryMode)
+TEST(SweepRunner, LowestIndexExceptionPropagates)
 {
-    // The staged per-slot trace merge must reproduce the serial event
-    // ORDER, not just the same multiset of events.
-    const Workload loads[] = {Workload::MatUpdate, Workload::Lu};
-    for (Workload w : loads) {
-        RunOut spin = runWorkload(w, 4, EngineMode::Spin, 0, true,
-                                  false);
-        for (EngineMode m : kFastModes) {
-            RunOut got = runWorkload(w, 4, m, 4, true, false);
-            EXPECT_EQ(spin.cycles, got.cycles) << workloadName(w);
-            std::string what = std::string(workloadName(w)) + " mode="
-                               + sim::engineModeName(m);
-            expectSameEvents(spin.events, got.events, what.c_str());
-        }
+    std::vector<std::function<int()>> tasks;
+    for (int i = 0; i < 8; ++i) {
+        tasks.push_back([i]() -> int {
+            if (i == 2)
+                throw std::runtime_error("task two");
+            if (i == 5)
+                throw std::runtime_error("task five");
+            return i;
+        });
     }
-}
-
-TEST(EngineModes, FaultedRunsMatchInEveryMode)
-{
-    // Injected flips, hangs and memory-latency spikes exercise every
-    // wake-before-mutation hook; the stats JSON (fault counters,
-    // recovery actions, sampled series) must not depend on the mode.
-    RunOut spin = runWorkload(Workload::MatUpdate, 4, EngineMode::Spin,
-                              0, true, true);
-    for (EngineMode m : kFastModes) {
-        RunOut got = runWorkload(Workload::MatUpdate, 4, m, 4, true,
-                                 true);
-        EXPECT_EQ(spin.cycles, got.cycles)
-            << "mode=" << sim::engineModeName(m);
-        EXPECT_EQ(spin.statsJson, got.statsJson)
-            << "mode=" << sim::engineModeName(m);
-        std::string what =
-            std::string("faulted mode=") + sim::engineModeName(m);
-        expectSameEvents(spin.events, got.events, what.c_str());
+    try {
+        sim::sweep<int>(tasks, 4);
+        FAIL() << "expected an exception";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "task two");
     }
-}
-
-TEST(EngineModes, SamplerSeriesIsPresentAndModeIndependent)
-{
-    // The periodic sampler must fire on the same engine cycles in
-    // every mode (observesSystemAt forces a full catch-up first), so
-    // the sampled series is part of the byte-identical contract.
-    RunOut spin = runWorkload(Workload::Lu, 2, EngineMode::Spin, 0,
-                              false, false);
-    ASSERT_NE(spin.statsJson.find("\"samples\""), std::string::npos);
-    for (EngineMode m : kFastModes) {
-        RunOut got = runWorkload(Workload::Lu, 2, m, 4, false, false);
-        EXPECT_EQ(spin.statsJson, got.statsJson)
-            << "mode=" << sim::engineModeName(m);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Mode-specific behaviour
-// ---------------------------------------------------------------------
-
-TEST(EngineModes, EventModeSleepsOnStallHeavyRuns)
-{
-    // LU quiesces the whole system at every pivot step; per-component
-    // sleeping must engage there or event mode is dead code.
-    RunOut ev = runWorkload(Workload::Lu, 1, EngineMode::Event, 0,
-                            false, false);
-    EXPECT_GT(ev.fastForwards, 0u);
-    EXPECT_GT(ev.skippedCycles, 0u);
-}
-
-TEST(EngineModes, ParallelFallsBackToSerialWithOneShard)
-{
-    // One cell cannot be sharded: the parallel runner must degrade to
-    // the serial skip loop and still match spin exactly.
-    RunOut spin = runWorkload(Workload::MatUpdate, 1, EngineMode::Spin,
-                              0, false, false);
-    RunOut par = runWorkload(Workload::MatUpdate, 1,
-                             EngineMode::Parallel, 4, false, false);
-    EXPECT_EQ(spin.cycles, par.cycles);
-    EXPECT_EQ(spin.statsJson, par.statsJson);
-}
-
-// ---------------------------------------------------------------------
-// Superop fast tier: on vs off byte-identity
-// ---------------------------------------------------------------------
-//
-// The fast tier is a pure wall-clock optimization: with it on or off,
-// cycles, stats JSON (sampled series included) and trace streams must
-// be byte-identical in every engine mode. fastForwards/skippedCycles
-// are engine diagnostics and legitimately differ — never compare them
-// across tier settings.
-
-TEST(FastTier, OnMatchesOffInEveryModeEveryWorkload)
-{
-    const EngineMode modes[] = {EngineMode::Spin, EngineMode::Skip,
-                                EngineMode::Event,
-                                EngineMode::Parallel};
-    const Workload loads[] = {Workload::MatUpdate, Workload::Lu,
-                              Workload::Trmm, Workload::Syrk};
-    for (Workload w : loads) {
-        for (EngineMode m : modes) {
-            RunOut off = runWorkload(w, 4, m, 4, false, false, false);
-            RunOut on = runWorkload(w, 4, m, 4, false, false, true);
-            EXPECT_EQ(off.cycles, on.cycles)
-                << workloadName(w) << " mode=" << sim::engineModeName(m);
-            EXPECT_EQ(off.statsJson, on.statsJson)
-                << workloadName(w) << " mode=" << sim::engineModeName(m);
-        }
-    }
-}
-
-TEST(FastTier, TracedRunsMatchOnVsOffInEveryMode)
-{
-    // With a tracer attached the tier refuses every burst (observers
-    // need per-cycle event edges), but the flag must still be inert:
-    // identical cycles, stats and event ORDER either way.
-    const EngineMode modes[] = {EngineMode::Spin, EngineMode::Skip,
-                                EngineMode::Event,
-                                EngineMode::Parallel};
-    for (EngineMode m : modes) {
-        RunOut off = runWorkload(Workload::MatUpdate, 4, m, 4, true,
-                                 false, false);
-        RunOut on = runWorkload(Workload::MatUpdate, 4, m, 4, true,
-                                false, true);
-        EXPECT_EQ(off.cycles, on.cycles)
-            << "mode=" << sim::engineModeName(m);
-        EXPECT_EQ(off.statsJson, on.statsJson)
-            << "mode=" << sim::engineModeName(m);
-        std::string what =
-            std::string("traced tier mode=") + sim::engineModeName(m);
-        expectSameEvents(off.events, on.events, what.c_str());
-    }
-}
-
-TEST(FastTier, FaultedRunsMatchOnVsOffInEveryMode)
-{
-    // Active fault plans are the hard case: the injector's event
-    // horizon must clamp every burst window, armed faults must refuse
-    // streaming, and recovery hangs must freeze the fallback path —
-    // or the faulted timeline diverges between tier settings.
-    const EngineMode modes[] = {EngineMode::Spin, EngineMode::Skip,
-                                EngineMode::Event,
-                                EngineMode::Parallel};
-    for (EngineMode m : modes) {
-        RunOut off = runWorkload(Workload::MatUpdate, 4, m, 4, false,
-                                 true, false);
-        RunOut on = runWorkload(Workload::MatUpdate, 4, m, 4, false,
-                                true, true);
-        EXPECT_EQ(off.cycles, on.cycles)
-            << "mode=" << sim::engineModeName(m);
-        EXPECT_EQ(off.statsJson, on.statsJson)
-            << "mode=" << sim::engineModeName(m);
-    }
-}
-
-TEST(FastTier, FaultedTracedRunsMatchOnVsOff)
-{
-    // Tracing plus faults: the tier stays refused under the tracer
-    // while the fault machinery runs — stats, cycles and the full
-    // event stream must be identical on vs off.
-    RunOut off = runWorkload(Workload::MatUpdate, 4, EngineMode::Skip,
-                             0, true, true, false);
-    RunOut on = runWorkload(Workload::MatUpdate, 4, EngineMode::Skip,
-                            0, true, true, true);
-    EXPECT_EQ(off.cycles, on.cycles);
-    EXPECT_EQ(off.statsJson, on.statsJson);
-    expectSameEvents(off.events, on.events, "faulted traced tier");
-}
-
-TEST(FastTier, BurstsEngageOnSteadyStreamingLoops)
-{
-    // The tier must actually fire on its target workload (untraced
-    // streaming matrix update) or the whole fast path is dead code.
-    RunOut on = runWorkload(Workload::MatUpdate, 1, EngineMode::Skip,
-                            0, false, false, true);
-    EXPECT_GT(on.bursts, 0u);
-    RunOut off = runWorkload(Workload::MatUpdate, 1, EngineMode::Skip,
-                             0, false, false, false);
-    EXPECT_EQ(off.bursts, 0u);
-}
-
-TEST(EngineModes, ParseAndNameRoundTrip)
-{
-    const EngineMode modes[] = {EngineMode::Spin, EngineMode::Skip,
-                                EngineMode::Event,
-                                EngineMode::Parallel};
-    for (EngineMode m : modes) {
-        EngineMode back;
-        ASSERT_TRUE(sim::parseEngineMode(sim::engineModeName(m), back));
-        EXPECT_EQ(m, back);
-    }
-    EngineMode out;
-    EXPECT_FALSE(sim::parseEngineMode("warp", out));
-    EXPECT_FALSE(sim::parseEngineMode("", out));
 }

@@ -1,147 +1,26 @@
 /**
  * @file
- * Golden-equivalence suite for idle-cycle skipping: for every workload
- * and configuration, a skip-mode run must be bit-identical to the
- * spin-mode run — same cycle count, same statistics JSON (including
- * the sampled time series), same trace event stream. Also covers the
- * parallel sweep runner: a multi-threaded sweep must produce exactly
- * the results of a serial one (and is the TSan target for the
- * simulator's thread-safety claims).
+ * Golden-equivalence suite for the engine's two run loops: for every
+ * workload and configuration, a skip-mode run must be bit-identical to
+ * the spin-mode reference — same cycle count, same statistics JSON
+ * (including the sampled time series), same trace event stream — with
+ * and without active fault injection, with the superop fast tier on
+ * and off. Also covers engine-mode parsing and the benches' strict
+ * flag parsing. The parallel sweep runner has its own suite,
+ * test_engine_parallel.cc, on the same harness (engine_golden.hh).
  */
 
 #include <gtest/gtest.h>
 
-#include <functional>
-#include <stdexcept>
+#include <string>
 #include <vector>
 
-#include "kernels/kernel_set.hh"
-#include "planner/linalg_plan.hh"
-#include "sim/sweep.hh"
-#include "trace/trace.hh"
+#include "bench_util.hh"
+#include "engine_golden.hh"
 
 using namespace opac;
-using namespace opac::planner;
-using copro::CoprocConfig;
-using copro::Coprocessor;
-
-namespace
-{
-
-enum class Workload
-{
-    MatUpdate,
-    Lu,
-    Trmm,
-    Syrk,
-};
-
-const char *
-workloadName(Workload w)
-{
-    switch (w) {
-      case Workload::MatUpdate:
-        return "matupdate";
-      case Workload::Lu:
-        return "lu";
-      case Workload::Trmm:
-        return "trmm";
-      case Workload::Syrk:
-        return "syrk";
-    }
-    return "?";
-}
-
-struct RunOut
-{
-    Cycle cycles = 0;
-    std::string statsJson;
-    std::vector<trace::Event> events;
-    std::uint64_t fastForwards = 0;
-    std::uint64_t skippedCycles = 0;
-};
-
-RunOut
-runWorkload(Workload w, unsigned p, std::size_t tf, unsigned tau,
-            bool skip, bool traced)
-{
-    CoprocConfig cfg;
-    cfg.cells = p;
-    cfg.cell.tf = tf;
-    cfg.host.tau = tau;
-    cfg.watchdogCycles = 500000;
-    cfg.skipIdleCycles = skip;
-    cfg.statsSampleInterval = 64;
-    Coprocessor sys(cfg);
-    kernels::installStandardKernels(sys);
-
-    trace::Tracer tracer;
-    trace::VectorSink sink;
-    if (traced) {
-        tracer.addSink(&sink);
-        sys.attachTracer(&tracer);
-    }
-
-    LinalgPlanner plan(sys);
-    const std::size_t n = 24, k = 40;
-    switch (w) {
-      case Workload::MatUpdate: {
-        MatRef c = allocMat(sys.memory(), n, n);
-        MatRef a = allocMat(sys.memory(), n, k);
-        MatRef b = allocMat(sys.memory(), k, n);
-        plan.matUpdate(c, a, b);
-        break;
-      }
-      case Workload::Lu: {
-        MatRef a = allocMat(sys.memory(), n, n);
-        for (std::size_t i = 0; i < n; ++i)
-            sys.memory().storeF(a.addrOf(i, i), 2.0f);
-        plan.lu(a);
-        break;
-      }
-      case Workload::Trmm: {
-        MatRef u = allocMat(sys.memory(), n, n);
-        MatRef b = allocMat(sys.memory(), n, 16);
-        MatRef out = allocMat(sys.memory(), n, 16);
-        plan.trmmLeftUpper(out, u, b);
-        break;
-      }
-      case Workload::Syrk: {
-        MatRef c = allocMat(sys.memory(), n, n);
-        MatRef a = allocMat(sys.memory(), n, 16);
-        plan.syrkLower(c, a);
-        break;
-      }
-    }
-    plan.commit();
-
-    RunOut out;
-    out.cycles = sys.run();
-    out.statsJson = sys.statsJson();
-    out.events = std::move(sink.events);
-    out.fastForwards = sys.engine().fastForwards();
-    out.skippedCycles = sys.engine().skippedCycles();
-    return out;
-}
-
-void
-expectSameEvents(const std::vector<trace::Event> &spin,
-                 const std::vector<trace::Event> &fast,
-                 const char *what)
-{
-    ASSERT_EQ(spin.size(), fast.size()) << what;
-    for (std::size_t i = 0; i < spin.size(); ++i) {
-        const trace::Event &a = spin[i];
-        const trace::Event &b = fast[i];
-        ASSERT_TRUE(a.cycle == b.cycle && a.kind == b.kind &&
-                    a.arg == b.arg && a.comp == b.comp &&
-                    a.track == b.track && a.a == b.a && a.b == b.b)
-            << what << ": event " << i << " differs (cycle "
-            << a.cycle << " vs " << b.cycle << ")";
-    }
-}
-
-} // anonymous namespace
+using namespace opac::test;
+using sim::EngineMode;
 
 // ---------------------------------------------------------------------
 // Skip-mode golden equivalence
@@ -149,38 +28,70 @@ expectSameEvents(const std::vector<trace::Event> &spin,
 
 TEST(EngineSkip, EveryWorkloadMatchesSpinExactly)
 {
-    const Workload loads[] = {Workload::MatUpdate, Workload::Lu,
-                              Workload::Trmm, Workload::Syrk};
-    struct Shape
-    {
-        unsigned p;
-        std::size_t tf;
-        unsigned tau;
-    };
-    const Shape shapes[] = {{1, 512, 2}, {4, 256, 2}, {2, 512, 4}};
-    for (Workload w : loads) {
+    const Shape shapes[] = {{1, 512, 2}, kOneCell, kFourCells,
+                            {2, 512, 4}};
+    for (Workload w : kAllLoads) {
         for (const Shape &s : shapes) {
-            RunOut spin = runWorkload(w, s.p, s.tf, s.tau, false, false);
-            RunOut fast = runWorkload(w, s.p, s.tf, s.tau, true, false);
-            EXPECT_EQ(spin.cycles, fast.cycles)
-                << workloadName(w) << " P=" << s.p << " tau=" << s.tau;
-            EXPECT_EQ(spin.statsJson, fast.statsJson)
-                << workloadName(w) << " P=" << s.p << " tau=" << s.tau;
-            EXPECT_EQ(spin.fastForwards, 0u);
+            std::string what = label(workloadName(w), s);
+            RunOut spin = runWorkload(w, s, EngineMode::Spin, false);
+            RunOut fast = runWorkload(w, s, EngineMode::Skip, false);
+            EXPECT_EQ(spin.cycles, fast.cycles) << what;
+            EXPECT_EQ(spin.statsJson, fast.statsJson) << what;
+            EXPECT_EQ(spin.fastForwards, 0u) << what;
+            EXPECT_EQ(spin.bursts, 0u) << what;
         }
     }
 }
 
 TEST(EngineSkip, TraceStreamIsIdenticalUnderSkipping)
 {
-    // Cycle-major replay must reproduce the spin-mode event order, not
-    // just the same set of events.
-    const Workload loads[] = {Workload::MatUpdate, Workload::Lu};
-    for (Workload w : loads) {
-        RunOut spin = runWorkload(w, 2, 256, 4, false, true);
-        RunOut fast = runWorkload(w, 2, 256, 4, true, true);
-        EXPECT_EQ(spin.cycles, fast.cycles) << workloadName(w);
-        expectSameEvents(spin.events, fast.events, workloadName(w));
+    // Cycle-major replay must reproduce the spin-mode event ORDER, not
+    // just the same multiset of events.
+    const Shape shapes[] = {kOneCell, {2, 256, 4}, kFourCells};
+    for (Workload w : {Workload::MatUpdate, Workload::Lu}) {
+        for (const Shape &s : shapes) {
+            std::string what = label(workloadName(w), s);
+            RunOut spin = runWorkload(w, s, EngineMode::Spin, true);
+            RunOut fast = runWorkload(w, s, EngineMode::Skip, true);
+            EXPECT_EQ(spin.cycles, fast.cycles) << what;
+            expectSameEvents(spin.events, fast.events, what.c_str());
+        }
+    }
+}
+
+TEST(EngineSkip, FaultedRunsMatchSpin)
+{
+    // Injected flips, hangs and memory-latency spikes: the injector's
+    // hint must stop every jump short of an injection, and the stats
+    // JSON (fault counters, recovery actions, sampled series) and the
+    // event stream must not depend on the mode.
+    for (const Shape &s : kGoldenShapes) {
+        std::string what = label("faulted", s);
+        RunOut spin = runWorkload(Workload::MatUpdate, s,
+                                  EngineMode::Spin, true, true);
+        RunOut fast = runWorkload(Workload::MatUpdate, s,
+                                  EngineMode::Skip, true, true);
+        EXPECT_EQ(spin.cycles, fast.cycles) << what;
+        EXPECT_EQ(spin.statsJson, fast.statsJson) << what;
+        expectSameEvents(spin.events, fast.events, what.c_str());
+    }
+}
+
+TEST(EngineSkip, SamplerSeriesIsPresentAndModeIndependent)
+{
+    // The periodic sampler's hint is its next boundary, so neither a
+    // skip jump nor a burst window crosses a sample: the sampled
+    // series is part of the byte-identical contract.
+    const Shape shapes[] = {kOneCell, {2, 256, 2}, kFourCells};
+    for (const Shape &s : shapes) {
+        std::string what = label("lu", s);
+        RunOut spin = runWorkload(Workload::Lu, s, EngineMode::Spin,
+                                  false);
+        ASSERT_NE(spin.statsJson.find("\"samples\""), std::string::npos)
+            << what;
+        RunOut fast = runWorkload(Workload::Lu, s, EngineMode::Skip,
+                                  false);
+        EXPECT_EQ(spin.statsJson, fast.statsJson) << what;
     }
 }
 
@@ -192,61 +103,195 @@ TEST(EngineSkip, SkippingActuallyHappensOnStallHeavyRuns)
     // is dead code and this suite proves nothing. (Streaming updates
     // like matupdate keep the cell busy every cycle — those runs skip
     // nothing, by design.)
-    RunOut fast = runWorkload(Workload::Lu, 1, 512, 4, true, false);
+    RunOut fast = runWorkload(Workload::Lu, {1, 512, 4}, EngineMode::Skip,
+                              false);
     EXPECT_GT(fast.fastForwards, 0u);
     EXPECT_GT(fast.skippedCycles, 0u);
 }
 
 TEST(EngineSkip, SkipDiagnosticsStayOutOfStatsJson)
 {
-    RunOut fast = runWorkload(Workload::MatUpdate, 1, 512, 4, true,
-                              false);
+    RunOut fast = runWorkload(Workload::MatUpdate, {1, 512, 4},
+                              EngineMode::Skip, false);
     EXPECT_EQ(fast.statsJson.find("fastForward"), std::string::npos);
     EXPECT_EQ(fast.statsJson.find("skippedCycles"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------
-// Parallel sweep runner
+// Superop fast tier: on vs off byte-identity
 // ---------------------------------------------------------------------
+//
+// The fast tier is a pure wall-clock optimization: with it on or off,
+// cycles, stats JSON (sampled series included) and trace streams must
+// be byte-identical in both engine modes. fastForwards/skippedCycles
+// are engine diagnostics and legitimately differ — never compare them
+// across tier settings.
 
-TEST(SweepRunner, ParallelResultsMatchSerialInOrder)
+TEST(FastTier, OnMatchesOffInEveryModeEveryWorkload)
 {
-    // Each task runs a full simulation; the multi-threaded sweep must
-    // return exactly the serial results in task order. This is the
-    // TSan target for the simulator's "no shared mutable state between
-    // Coprocessor instances" claim.
-    std::vector<std::function<Cycle()>> tasks;
-    const Workload loads[] = {Workload::MatUpdate, Workload::Lu,
-                              Workload::Trmm, Workload::Syrk};
-    for (Workload w : loads) {
-        for (unsigned p : {1u, 2u}) {
-            tasks.push_back([w, p] {
-                return runWorkload(w, p, 256, 2, true, false).cycles;
-            });
+    for (Workload w : kAllLoads) {
+        for (const Shape &s : kGoldenShapes) {
+            for (EngineMode m : kModes) {
+                std::string what = label(workloadName(w), s) + " mode="
+                                   + sim::engineModeName(m);
+                RunOut off = runWorkload(w, s, m, false, false, false);
+                RunOut on = runWorkload(w, s, m, false, false, true);
+                EXPECT_EQ(off.cycles, on.cycles) << what;
+                EXPECT_EQ(off.statsJson, on.statsJson) << what;
+            }
         }
     }
-    auto serial = sim::sweep<Cycle>(tasks, 1);
-    auto parallel = sim::sweep<Cycle>(tasks, 4);
-    ASSERT_EQ(serial.size(), tasks.size());
-    EXPECT_EQ(serial, parallel);
 }
 
-TEST(SweepRunner, LowestIndexExceptionPropagates)
+TEST(FastTier, TracedRunsMatchOnVsOffInEveryMode)
 {
-    std::vector<std::function<int()>> tasks;
-    for (int i = 0; i < 8; ++i) {
-        tasks.push_back([i]() -> int {
-            if (i == 2)
-                throw std::runtime_error("task two");
-            if (i == 5)
-                throw std::runtime_error("task five");
-            return i;
-        });
+    // With a tracer attached the tier refuses every burst (observers
+    // need per-cycle event edges), but the flag must still be inert:
+    // identical cycles, stats and event ORDER either way.
+    for (const Shape &s : kGoldenShapes) {
+        for (EngineMode m : kModes) {
+            std::string what = label("traced tier", s) + " mode="
+                               + sim::engineModeName(m);
+            RunOut off = runWorkload(Workload::MatUpdate, s, m, true,
+                                     false, false);
+            RunOut on = runWorkload(Workload::MatUpdate, s, m, true,
+                                    false, true);
+            EXPECT_EQ(off.cycles, on.cycles) << what;
+            EXPECT_EQ(off.statsJson, on.statsJson) << what;
+            expectSameEvents(off.events, on.events, what.c_str());
+        }
     }
-    try {
-        sim::sweep<int>(tasks, 4);
-        FAIL() << "expected an exception";
-    } catch (const std::runtime_error &e) {
-        EXPECT_STREQ(e.what(), "task two");
+}
+
+TEST(FastTier, FaultedRunsMatchOnVsOffInEveryMode)
+{
+    // Active fault plans are the hard case: the injector's event
+    // horizon must clamp every burst window, armed faults must refuse
+    // streaming, and recovery hangs must freeze the fallback path —
+    // or the faulted timeline diverges between tier settings.
+    for (const Shape &s : kGoldenShapes) {
+        for (EngineMode m : kModes) {
+            std::string what = label("faulted tier", s) + " mode="
+                               + sim::engineModeName(m);
+            RunOut off = runWorkload(Workload::MatUpdate, s, m, false,
+                                     true, false);
+            RunOut on = runWorkload(Workload::MatUpdate, s, m, false,
+                                    true, true);
+            EXPECT_EQ(off.cycles, on.cycles) << what;
+            EXPECT_EQ(off.statsJson, on.statsJson) << what;
+        }
+    }
+}
+
+TEST(FastTier, FaultedTracedRunsMatchOnVsOff)
+{
+    // Tracing plus faults: the tier stays refused under the tracer
+    // while the fault machinery runs — stats, cycles and the full
+    // event stream must be identical on vs off.
+    RunOut off = runWorkload(Workload::MatUpdate, kFourCells,
+                             EngineMode::Skip, true, true, false);
+    RunOut on = runWorkload(Workload::MatUpdate, kFourCells,
+                            EngineMode::Skip, true, true, true);
+    EXPECT_EQ(off.cycles, on.cycles);
+    EXPECT_EQ(off.statsJson, on.statsJson);
+    expectSameEvents(off.events, on.events, "faulted traced tier");
+}
+
+TEST(FastTier, BurstsEngageOnSteadyStreamingLoops)
+{
+    // The tier must actually fire on its target workload (untraced
+    // streaming matrix update) or the whole fast path is dead code.
+    for (const Shape &s : kGoldenShapes) {
+        std::string what = label("matupdate", s);
+        RunOut on = runWorkload(Workload::MatUpdate, s, EngineMode::Skip,
+                                false, false, true);
+        EXPECT_GT(on.bursts, 0u) << what;
+        RunOut off = runWorkload(Workload::MatUpdate, s,
+                                 EngineMode::Skip, false, false, false);
+        EXPECT_EQ(off.bursts, 0u) << what;
+    }
+}
+
+TEST(EngineModes, ParseAndNameRoundTrip)
+{
+    for (EngineMode m : kModes) {
+        EngineMode back;
+        ASSERT_TRUE(sim::parseEngineMode(sim::engineModeName(m), back));
+        EXPECT_EQ(m, back);
+    }
+    EngineMode out;
+    EXPECT_FALSE(sim::parseEngineMode("warp", out));
+    EXPECT_FALSE(sim::parseEngineMode("", out));
+    // The per-component sleep scheduler and the parallel cell
+    // executor are gone; their names must not parse.
+    EXPECT_FALSE(sim::parseEngineMode("event", out));
+    EXPECT_FALSE(sim::parseEngineMode("parallel", out));
+}
+
+// ---------------------------------------------------------------------
+// Bench flag parsing
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** Run @p parse over a mutable argv built from @p args. */
+template <typename Parse>
+auto
+withArgv(std::vector<std::string> args, Parse parse)
+{
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    return parse(int(argv.size()), argv.data());
+}
+
+long long
+rowsFlag(std::vector<std::string> args)
+{
+    return withArgv(std::move(args), [](int argc, char **argv) {
+        return bench::argNumber(argc, argv, "--rows", 256, 1, 1024);
+    });
+}
+
+} // anonymous namespace
+
+TEST(BenchFlags, NumericFlagAcceptsBothForms)
+{
+    EXPECT_EQ(rowsFlag({"bench", "--rows", "128"}), 128);
+    EXPECT_EQ(rowsFlag({"bench", "--rows=128"}), 128);
+    EXPECT_EQ(rowsFlag({"bench", "--rows=1024"}), 1024);
+    EXPECT_EQ(rowsFlag({"bench", "--cols=64"}), 256); // absent: fallback
+    EXPECT_EQ(rowsFlag({"bench", "--rowsx=64"}), 256);
+    EXPECT_EQ(withArgv({"bench", "--jobs=3"}, bench::initSimFlags), 3u);
+    EXPECT_EQ(withArgv({"bench", "--jobs", "2"}, bench::initSimFlags), 2u);
+}
+
+TEST(BenchFlagsDeathTest, BadNumericValuesExitTwo)
+{
+    const char *bad[] = {"abc", "-4", "+4", "12x", "", "0", "1025",
+                         "99999999999999999999"};
+    for (const char *v : bad) {
+        EXPECT_EXIT(rowsFlag({"bench", std::string("--rows=") + v}),
+                    ::testing::ExitedWithCode(2), "bad --rows value")
+            << "value '" << v << "'";
+    }
+    EXPECT_EXIT(rowsFlag({"bench", "--rows", "abc"}),
+                ::testing::ExitedWithCode(2), "bad --rows value");
+    EXPECT_EXIT(rowsFlag({"bench", "--rows"}),
+                ::testing::ExitedWithCode(2), "bad --rows value");
+    EXPECT_EXIT(withArgv({"bench", "--jobs=abc"}, bench::initSimFlags),
+                ::testing::ExitedWithCode(2), "bad --jobs value");
+    EXPECT_EXIT(withArgv({"bench", "--jobs=-1"}, bench::initSimFlags),
+                ::testing::ExitedWithCode(2), "bad --jobs value");
+}
+
+TEST(BenchFlagsDeathTest, RemovedEngineModesExitTwo)
+{
+    for (const char *m : {"event", "parallel"}) {
+        EXPECT_EXIT(withArgv({"bench", std::string("--engine=") + m},
+                             bench::initSimFlags),
+                    ::testing::ExitedWithCode(2), "bad --engine value")
+            << m;
     }
 }

@@ -578,7 +578,8 @@ TEST(Faults, SkipAndSpinAreCycleIdentical)
     // shift a timeout.
     auto run = [](bool skip) {
         CoprocConfig cfg = makeConfig(2);
-        cfg.skipIdleCycles = skip;
+        cfg.engineMode = skip ? sim::EngineMode::Skip
+                              : sim::EngineMode::Spin;
         protect(cfg,
                 "seed=4,n=6,horizon=4000,"
                 "kinds=flip+drop+dup+hang+halt+mem",

@@ -366,7 +366,7 @@ TEST(EncodeFuzz, RandomValidProgramsRoundTrip)
         int depth = 0;
         int len = int(rng.range(1, 40));
         for (int i = 0; i < len; ++i) {
-            switch (rng.range(0, 6)) {
+            switch (rng.range(0, 7)) {
               case 0:
                 b.mov(pop_srcs[rng.range(0, 7)],
                       DstTpO); // pop -> out, always valid
@@ -399,6 +399,12 @@ TEST(EncodeFuzz, RandomValidProgramsRoundTrip)
                 } else {
                     b.decParam(std::uint8_t(rng.range(0, 15)));
                 }
+                break;
+              case 6:
+                // A register first operand: its index must survive
+                // the round trip (FFT's butterflies add r2 + r6).
+                b.add(reg(std::uint8_t(rng.range(0, 31))), src(Src::TpY),
+                      DstRet, AddOp(rng.range(0, 2)));
                 break;
               default:
                 b.add(src(Src::Sum), src(Src::TpY), DstRet,

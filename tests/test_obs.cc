@@ -29,14 +29,13 @@ namespace
 {
 
 ShardConfig
-smallShard(sim::EngineMode mode, unsigned threads = 0)
+smallShard(sim::EngineMode mode)
 {
     ShardConfig sc;
     sc.cells = 2;
     sc.tf = 512;
     sc.memoryWords = 1 << 20;
     sc.engineMode = mode;
-    sc.simThreads = threads;
     return sc;
 }
 
@@ -63,11 +62,11 @@ struct ObsExports
 };
 
 ObsExports
-runObservedWorkload(sim::EngineMode mode, unsigned threads = 0)
+runObservedWorkload(sim::EngineMode mode)
 {
     ServeConfig cfg;
     cfg.shards = 2;
-    cfg.shard = smallShard(mode, threads);
+    cfg.shard = smallShard(mode);
     cfg.sched.batchMax = 2;
     cfg.faults = fault::parseFaultSpec(
         "seed=3,rate=40,horizon=200000,kinds=flip");
@@ -116,28 +115,13 @@ TEST(ObsDeterminism, ExportsByteIdenticalAcrossEngineModes)
     EXPECT_FALSE(ref.metrics.empty());
     EXPECT_FALSE(ref.spans.empty());
 
-    struct Alt
-    {
-        const char *name;
-        sim::EngineMode mode;
-        unsigned threads;
-    };
-    const Alt alts[] = {
-        {"skip", sim::EngineMode::Skip, 0},
-        {"event", sim::EngineMode::Event, 0},
-        {"parallel", sim::EngineMode::Parallel, 2},
-        {"parallel/4t", sim::EngineMode::Parallel, 4},
-    };
-    for (const Alt &a : alts) {
-        ObsExports got = runObservedWorkload(a.mode, a.threads);
-        EXPECT_EQ(ref.metrics, got.metrics)
-            << "metrics json diverged under --engine=" << a.name;
-        EXPECT_EQ(ref.spans, got.spans)
-            << "span stream diverged under --engine=" << a.name;
-        EXPECT_EQ(ref.prom, got.prom)
-            << "prometheus exposition diverged under --engine="
-            << a.name;
-    }
+    ObsExports got = runObservedWorkload(sim::EngineMode::Skip);
+    EXPECT_EQ(ref.metrics, got.metrics)
+        << "metrics json diverged under --engine=skip";
+    EXPECT_EQ(ref.spans, got.spans)
+        << "span stream diverged under --engine=skip";
+    EXPECT_EQ(ref.prom, got.prom)
+        << "prometheus exposition diverged under --engine=skip";
 }
 
 // ---------------------------------------------------------------------
@@ -400,19 +384,19 @@ TEST(ObsFlight, DumpJsonIsVersionedAndCarriesTheFaultPlan)
 }
 
 // ---------------------------------------------------------------------
-// Interval sampling through the serve stack (satellite: sampler series
-// must be byte-identical between spin and the parallel engine)
+// Interval sampling through the serve stack (the sampler series must
+// be byte-identical between the spin and skip engines)
 // ---------------------------------------------------------------------
 
 namespace
 {
 
 std::vector<std::string>
-runSampledShards(sim::EngineMode mode, unsigned threads)
+runSampledShards(sim::EngineMode mode)
 {
     ServeConfig cfg;
     cfg.shards = 2;
-    cfg.shard = smallShard(mode, threads);
+    cfg.shard = smallShard(mode);
     cfg.shard.statsSampleInterval = 512;
     cfg.sched.batchMax = 2;
     Server srv(cfg);
@@ -431,19 +415,19 @@ runSampledShards(sim::EngineMode mode, unsigned threads)
 
 } // anonymous namespace
 
-TEST(ObsSampler, ShardSeriesByteIdenticalSpinVsParallel)
+TEST(ObsSampler, ShardSeriesByteIdenticalSpinVsSkip)
 {
     std::vector<std::string> spin =
-        runSampledShards(sim::EngineMode::Spin, 0);
-    std::vector<std::string> par =
-        runSampledShards(sim::EngineMode::Parallel, 2);
-    ASSERT_EQ(spin.size(), par.size());
+        runSampledShards(sim::EngineMode::Spin);
+    std::vector<std::string> skip =
+        runSampledShards(sim::EngineMode::Skip);
+    ASSERT_EQ(spin.size(), skip.size());
     for (std::size_t s = 0; s < spin.size(); ++s) {
         EXPECT_FALSE(spin[s].empty());
         // The series must actually contain samples, not just stats.
         EXPECT_NE(spin[s].find("\"samples\""), std::string::npos);
-        EXPECT_EQ(spin[s], par[s])
+        EXPECT_EQ(spin[s], skip[s])
             << "shard " << s
-            << " sample series diverged between spin and parallel";
+            << " sample series diverged between spin and skip";
     }
 }
