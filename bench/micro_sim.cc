@@ -1,15 +1,21 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator itself: softfloat
- * operation rates, FIFO operation rates and end-to-end cell simulation
- * speed. These guard the wall-clock cost of the big table sweeps.
+ * operation rates, FIFO operation rates per word-protection mode,
+ * end-to-end cell simulation speed and snapshot-save throughput. These
+ * guard the wall-clock cost of the big table sweeps and of the job
+ * server's protected queues and checkpoints.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "cell/cell.hh"
+#include "coproc/coprocessor.hh"
+#include "fault/fault.hh"
 #include "fifo/timed_fifo.hh"
 #include "isa/builder.hh"
+#include "kernels/kernel_set.hh"
+#include "planner/linalg_plan.hh"
 #include "softfloat/float32.hh"
 
 using namespace opac;
@@ -58,18 +64,30 @@ BM_SoftfloatDiv(benchmark::State &state)
 }
 BENCHMARK(BM_SoftfloatDiv);
 
+/**
+ * One push plus one pop per iteration, under each word-protection mode
+ * (the argument is a fault::ParityMode): Off stores bare words, Detect
+ * and Correct encode SECDED check bits at push and verify them at pop.
+ */
 void
 BM_FifoPushPop(benchmark::State &state)
 {
     TimedFifo f("bench", 64);
+    f.setParity(fault::ParityMode(state.range(0)));
     Cycle t = 0;
     for (auto _ : state) {
-        f.push(42, t);
+        // A fresh word each time, so no check bits fold to a constant.
+        f.push(Word(t * 2654435761u), t);
         ++t;
         benchmark::DoNotOptimize(f.pop(t));
     }
+    state.SetItemsProcessed(std::int64_t(state.iterations()));
+    state.SetLabel(fault::parityModeName(fault::ParityMode(state.range(0))));
 }
-BENCHMARK(BM_FifoPushPop);
+BENCHMARK(BM_FifoPushPop)
+    ->Arg(int(fault::ParityMode::Off))
+    ->Arg(int(fault::ParityMode::Detect))
+    ->Arg(int(fault::ParityMode::Correct));
 
 /**
  * End-to-end cell simulation speed on a self-contained GEMM-style
@@ -106,6 +124,43 @@ BENCHMARK(BM_CellInnerLoop)
     ->Arg(int(cell::FpKind::Soft))
     ->Arg(int(cell::FpKind::Native))
     ->Arg(int(cell::FpKind::Token));
+
+/**
+ * Snapshot save: takeSnapshot().encode() of a 2-cell machine with the
+ * standard kernels installed, paused mid-GEMM — the work a serve shard
+ * does per checkpoint before the file write. Reports bytes/s.
+ */
+void
+BM_CheckpointEncode(benchmark::State &state)
+{
+    copro::CoprocConfig cfg;
+    cfg.cells = 2;
+    cfg.cell.tf = 512;
+    copro::Coprocessor sys(cfg);
+    kernels::installStandardKernels(sys);
+    planner::LinalgPlanner plan(sys);
+    const std::size_t n = 32, k = 64;
+    planner::MatRef c = planner::allocMat(sys.memory(), n, n);
+    planner::MatRef a = planner::allocMat(sys.memory(), n, k);
+    planner::MatRef b = planner::allocMat(sys.memory(), k, n);
+    plan.matUpdate(c, a, b);
+    plan.commit();
+    if (sys.runUntil(4000) != 4000) {
+        state.SkipWithError("GEMM finished before the pause point");
+        return;
+    }
+    std::size_t bytes = 0;
+    for (auto _ : state) {
+        std::string image = sys.takeSnapshot().encode();
+        bytes = image.size();
+        benchmark::DoNotOptimize(image.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(std::int64_t(state.iterations())
+                            * std::int64_t(bytes));
+    state.counters["snapshot_bytes"] = double(bytes);
+}
+BENCHMARK(BM_CheckpointEncode);
 
 } // anonymous namespace
 

@@ -185,7 +185,7 @@ main(int argc, char **argv)
                 std::size_t n = analytic::paperTileN(p, tf);
                 std::vector<std::string> row = {strfmt("%u", p),
                                                 strfmt("%zu", n)};
-                for (std::size_t k : ks) {
+                for (std::size_t ki = 0; ki < std::size(ks); ++ki) {
                     const CaseSpec &spec = specs[idx];
                     const CaseResult &res = results[idx];
                     ++idx;

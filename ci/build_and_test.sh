@@ -96,6 +96,22 @@ mkdir -p "$artifacts"
 (cd "$sanitize" && ./bench/table_6_1 --quick \
     --resume-from=ci_resume.snap > /dev/null)
 cp "$sanitize/ci_resume.snap" "$artifacts/table_6_1_resume.snap"
+# Crash and resume every serve_load smoke case over a checkpoint
+# directory: the restarted server restores each shard from its last
+# checkpoint (rebuilding the microcode store and dropping its cached
+# kernel images) and must still deliver every job correctly. A stale
+# directory would replay another run's journal, so start clean.
+rm -rf "$sanitize/ci_serve_ckpt"
+(cd "$sanitize" && ./bench/serve_load --smoke \
+    --checkpoint-dir=ci_serve_ckpt --crash-after=4 > /dev/null)
+cases=$(grep -o '"correct": [0-9.]*' "$sanitize/BENCH_serve_load.json" \
+    | wc -l)
+good=$(grep -o '"correct": 1\.0*[,}]' "$sanitize/BENCH_serve_load.json" \
+    | wc -l)
+if [ "$cases" -eq 0 ] || [ "$good" -ne "$cases" ]; then
+    echo "serve_load crash/resume: $good of $cases cases correct" >&2
+    exit 1
+fi
 # Damaged snapshots must be rejected up front by the checksum — a
 # truncated copy and a bit-flipped copy must both fail --check with
 # the tool's clean "bad file" exit (1), not a parse error or crash.
@@ -171,14 +187,15 @@ ls "$plain"/obs/flight/flight_*.json > /dev/null
 echo "serve_report smoke test OK"
 
 # Perf smoke (Release): record sim_rate (simulated cycles per wall
-# second) for the streaming benches so the uploaded artifacts carry a
-# cycles-per-wall-second trend next to the cycle counts. table_6_2
-# runs twice — fast tier off, then on — and both BENCH jsons land in
-# the artifacts dir, so every CI run documents the tier's measured
-# speedup on this runner (the cycle counts in the two files must be
-# identical; only sim_rate may differ). Not gated here beyond the
-# byte-identity the bench itself asserts — the regression-gate leg
-# above already soft-gates sim_rate against the committed baselines.
+# second) for the streaming benches, plus the micro_sim per-layer
+# rates, so the uploaded artifacts carry a cycles-per-wall-second
+# trend next to the cycle counts. table_6_2 runs twice — fast tier
+# off, then on — and both BENCH jsons land in the artifacts dir, so
+# every CI run documents the tier's measured speedup on this runner
+# (the cycle counts in the two files must be identical; only sim_rate
+# may differ). Not gated here beyond the byte-identity the bench
+# itself asserts — the regression-gate leg above already soft-gates
+# sim_rate against the committed baselines.
 echo "=== perf smoke (Release) ==="
 release="$build_root/release"
 artifacts="$build_root/artifacts"
@@ -192,4 +209,10 @@ cp "$release/BENCH_table_6_2.json" \
 cp "$release/BENCH_table_6_2.json" \
     "$artifacts/BENCH_table_6_2_fast_tier_on.json"
 (cd "$release" && ./bench/kernels_throughput > /dev/null)
+# Per-layer rates: FIFO push+pop under each parity mode and snapshot
+# save (takeSnapshot().encode()) throughput. Recorded, not gated.
+"$release/bench/micro_sim" \
+    --benchmark_filter='BM_FifoPushPop|BM_CheckpointEncode' \
+    --benchmark_out="$artifacts/micro_sim.json" \
+    --benchmark_out_format=json > /dev/null
 echo "perf smoke OK"

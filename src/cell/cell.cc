@@ -188,7 +188,7 @@ Cell::loadMicrocode(Word entry, isa::Program prog, unsigned nparams)
                                     "reserved call",
                                     entry));
     Kernel &k = microcode[entry];
-    k = Kernel{std::move(prog), nparams};
+    k = Kernel{std::move(prog), nparams, {}};
     // Reloading an entry reuses the map node, so cached body analyses
     // keyed on the Kernel address would go stale: drop them all.
     fastBodies.clear();
@@ -1021,15 +1021,18 @@ Cell::saveState(snap::Writer &w) const
     // The complete microcode store, as encoded images: kernels can be
     // installed at runtime, so the snapshot cannot assume the fresh
     // machine it restores into has the same store. std::map iterates
-    // in entry-id order — stable across install order.
+    // in entry-id order — stable across install order. Images are
+    // encoded once per installed kernel (Kernel::image), not once per
+    // checkpoint.
     w.u32(std::uint32_t(microcode.size()));
     for (const auto &[entry, k] : microcode) {
         w.u32(entry);
         w.u32(k.nparams);
         w.str(k.prog.name());
-        std::vector<std::uint32_t> image = isa::encode(k.prog);
-        w.u32(std::uint32_t(image.size()));
-        for (std::uint32_t word : image)
+        if (k.image.empty())
+            k.image = isa::encode(k.prog);
+        w.u32(std::uint32_t(k.image.size()));
+        for (std::uint32_t word : k.image)
             w.u32(word);
     }
     for (Word v : regs)
@@ -1146,6 +1149,19 @@ Cell::loadState(snap::Reader &r, std::uint32_t version)
     pmuCall = r.b();
     if (paramIndex > isa::numParams || paramsToRead > isa::numParams)
         r.fail(name() + ": parameter cursor out of range");
+    // The next tick must be able to run the restored state: a kernel
+    // call past Idle dereferences the running kernel, and ReadParams
+    // pops into params[paramIndex] until paramsToRead reaches zero.
+    bool needsKernel = state == SeqState::Decode || state == SeqState::Run
+                       || (state == SeqState::ReadParams && !pmuCall);
+    if (needsKernel && !current)
+        r.fail(name() + ": sequencer state " + std::to_string(st) +
+               " without a running kernel");
+    if (state == SeqState::ReadParams
+        && (paramsToRead == 0
+            || paramIndex + paramsToRead > isa::numParams))
+        r.fail(name() + ": parameter cursor out of range for "
+                        "ReadParams");
     for (std::int32_t &p : params)
         p = r.i32();
     loopStack.assign(r.u32(), LoopFrame{});

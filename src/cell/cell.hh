@@ -281,6 +281,15 @@ class Cell : public sim::Component
     {
         isa::Program prog;
         unsigned nparams;
+        /**
+         * isa::encode(prog), filled by the first saveState() that
+         * writes this kernel and empty until then. Reinstalling an
+         * entry builds a new Kernel, so the cache never outlives its
+         * program. Never filled at install: encode() can reject
+         * programs validate() accepts. saveState() is const but fills
+         * it, so it must not run concurrently on one cell.
+         */
+        mutable std::vector<std::uint32_t> image;
     };
 
     /** A value travelling through the FP or move pipeline. */

@@ -368,7 +368,7 @@ struct SecdedLayout
     std::array<std::uint64_t, 6> groupMask{}; //!< data bits per parity
     std::array<int, 39> posToData{};
 
-    SecdedLayout()
+    constexpr SecdedLayout()
     {
         posToData.fill(-1);
         unsigned di = 0;
@@ -384,32 +384,61 @@ struct SecdedLayout
     }
 };
 
-const SecdedLayout &
-layout()
-{
-    static const SecdedLayout l;
-    return l;
-}
+constexpr SecdedLayout secdedLayout;
 
-} // anonymous namespace
-
-std::uint8_t
-secdedEncode(Word w)
+/** The check bits of @p w, straight from the layout: the definition
+ *  the lookup tables below are generated from. */
+constexpr std::uint8_t
+secdedEncodeBitwise(Word w)
 {
-    const SecdedLayout &l = layout();
     std::uint8_t ecc = 0;
     for (unsigned pi = 0; pi < 6; ++pi)
-        if (std::popcount(std::uint64_t(w) & l.groupMask[pi]) & 1)
+        if (std::popcount(std::uint64_t(w) & secdedLayout.groupMask[pi])
+            & 1)
             ecc |= std::uint8_t(1u << pi);
     if ((std::popcount(w) + std::popcount(unsigned(ecc & 0x3f))) & 1)
         ecc |= 0x40;
     return ecc;
 }
 
+/**
+ * Every check bit, the overall parity in bit 6 included, is an XOR of
+ * data bits: the code is linear over GF(2). So the check bits of a
+ * word are the XOR of the check bits of its four bytes, each in its
+ * own lane — four lookups instead of eight popcounts.
+ */
+struct SecdedTables
+{
+    std::array<std::array<std::uint8_t, 256>, 4> lane{};
+
+    constexpr SecdedTables()
+    {
+        for (unsigned l = 0; l < 4; ++l)
+            for (unsigned b = 0; b < 256; ++b)
+                lane[l][b] = secdedEncodeBitwise(Word(b) << (8 * l));
+    }
+};
+
+constexpr SecdedTables secdedTables;
+
+} // anonymous namespace
+
+std::uint8_t
+secdedEncode(Word w)
+{
+    const auto &t = secdedTables.lane;
+    return std::uint8_t(t[0][w & 0xff] ^ t[1][(w >> 8) & 0xff]
+                        ^ t[2][(w >> 16) & 0xff] ^ t[3][w >> 24]);
+}
+
 SecdedResult
 secdedDecode(Word &w, std::uint8_t ecc)
 {
     std::uint8_t expect = secdedEncode(w);
+    // Stored bits equal to the re-derived ones mean a zero syndrome
+    // and a matching overall bit: the common case, decided here.
+    if (expect == ecc)
+        return SecdedResult::Ok;
     unsigned syndrome = unsigned(expect ^ ecc) & 0x3fu;
     // The stored overall bit covers the data word plus the *stored*
     // check bits, so recompute it over exactly those — comparing
@@ -427,7 +456,7 @@ secdedDecode(Word &w, std::uint8_t ecc)
     // Odd number of flips: assume one. The syndrome is the codeword
     // position of the flipped bit; repair it when it names a data bit.
     if (syndrome >= 1 && syndrome <= 38) {
-        int di = layout().posToData[syndrome];
+        int di = secdedLayout.posToData[syndrome];
         if (di >= 0) {
             w ^= 1u << unsigned(di);
             return SecdedResult::Corrected;

@@ -954,6 +954,19 @@ Host::loadState(snap::Reader &r, std::uint32_t version)
             r.fail("staged store out of memory range");
         staging[addr] = word;
     }
+    // tickRecv and nextEventAt index cells by a Recv's single mask
+    // bit: any other mask would shift or index out of range.
+    auto checkRecv = [&](const HostOp &op) {
+        if (op.kind == HostOp::Kind::Recv
+            && (std::popcount(op.cellMask) != 1
+                || unsigned(std::countr_zero(op.cellMask))
+                       >= cells.size()))
+            r.fail(strfmt("host recv mask %#x does not name exactly one "
+                          "of %zu cells",
+                          op.cellMask, cells.size()));
+    };
+    std::for_each(program.begin(), program.end(), checkRecv);
+    std::for_each(journal.begin(), journal.end(), checkRecv);
     _deadMask = r.u32();
     _completedJobs.assign(r.u32(), 0);
     for (std::uint32_t &j : _completedJobs)

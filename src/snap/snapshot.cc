@@ -35,8 +35,10 @@ fnvMix(std::uint64_t hash, std::uint64_t value)
 void
 Writer::putLe(std::uint64_t v, int n)
 {
+    char le[8] = {};
     for (int i = 0; i < n; i++)
-        _buf.push_back(static_cast<char>(v >> (8 * i)));
+        le[i] = static_cast<char>(v >> (8 * i));
+    _buf.append(le, static_cast<std::size_t>(n));
 }
 
 void

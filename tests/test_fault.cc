@@ -10,7 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <iterator>
 
 #include "blasref/blas3.hh"
 #include "common/error.hh"
@@ -155,6 +158,146 @@ TEST(Secded, CorrectsSingleBitDetectsDoubleBit)
                       fault::SecdedResult::Uncorrectable);
         }
     }
+}
+
+namespace
+{
+
+/**
+ * Bitwise SECDED reference: the code computed straight from its
+ * layout, one popcount per check bit. The slower, obviously-right
+ * oracle the table-driven fault::secdedEncode / secdedDecode are
+ * checked against.
+ */
+struct RefLayout
+{
+    std::uint64_t groupMask[6] = {};
+    int posToData[39] = {};
+
+    RefLayout()
+    {
+        std::fill(std::begin(posToData), std::end(posToData), -1);
+        unsigned di = 0;
+        for (unsigned pos = 1; pos <= 38; ++pos) {
+            if ((pos & (pos - 1)) == 0)
+                continue;
+            posToData[pos] = int(di);
+            for (unsigned pi = 0; pi < 6; ++pi)
+                if (pos & (1u << pi))
+                    groupMask[pi] |= std::uint64_t(1) << di;
+            ++di;
+        }
+    }
+};
+
+const RefLayout refLayout;
+
+std::uint8_t
+refEncode(Word w)
+{
+    std::uint8_t ecc = 0;
+    for (unsigned pi = 0; pi < 6; ++pi)
+        if (std::popcount(std::uint64_t(w) & refLayout.groupMask[pi]) & 1)
+            ecc |= std::uint8_t(1u << pi);
+    if ((std::popcount(w) + std::popcount(unsigned(ecc & 0x3f))) & 1)
+        ecc |= 0x40;
+    return ecc;
+}
+
+fault::SecdedResult
+refDecode(Word &w, std::uint8_t ecc)
+{
+    unsigned syndrome = unsigned(refEncode(w) ^ ecc) & 0x3fu;
+    bool overallOdd =
+        (((std::popcount(w) + std::popcount(unsigned(ecc) & 0x3fu)) & 1)
+         != 0)
+        != ((ecc & 0x40) != 0);
+    if (syndrome == 0 && !overallOdd)
+        return fault::SecdedResult::Ok;
+    if (!overallOdd)
+        return fault::SecdedResult::Uncorrectable;
+    if (syndrome >= 1 && syndrome <= 38
+        && refLayout.posToData[syndrome] >= 0) {
+        w ^= 1u << unsigned(refLayout.posToData[syndrome]);
+        return fault::SecdedResult::Corrected;
+    }
+    return fault::SecdedResult::Uncorrectable;
+}
+
+/** Decode @p w against @p ecc with both implementations; they must
+ *  agree on the verdict and on the (possibly repaired) word. */
+void
+expectDecodeMatches(Word w, std::uint8_t ecc)
+{
+    Word got = w, want = w;
+    fault::SecdedResult r = fault::secdedDecode(got, ecc);
+    ASSERT_EQ(int(r), int(refDecode(want, ecc)))
+        << std::hex << "word " << w << " ecc " << unsigned(ecc);
+    ASSERT_EQ(got, want) << std::hex << "word " << w << " ecc "
+                         << unsigned(ecc);
+}
+
+} // anonymous namespace
+
+TEST(Secded, TablesMatchReferenceOnEveryByteInEveryLane)
+{
+    for (unsigned lane = 0; lane < 4; ++lane) {
+        for (unsigned b = 0; b < 256; ++b) {
+            Word w = Word(b) << (8 * lane);
+            ASSERT_EQ(fault::secdedEncode(w), refEncode(w))
+                << "lane " << lane << " byte " << b;
+        }
+    }
+}
+
+TEST(Secded, EncodeIsLinearOverGf2)
+{
+    Rng rng(5);
+    EXPECT_EQ(fault::secdedEncode(0), 0);
+    for (int i = 0; i < 100000; ++i) {
+        Word a = Word(rng.next()), b = Word(rng.next());
+        ASSERT_EQ(fault::secdedEncode(a ^ b),
+                  fault::secdedEncode(a) ^ fault::secdedEncode(b))
+            << std::hex << a << " ^ " << b;
+    }
+}
+
+TEST(Secded, EncodeMatchesReferenceOnRandomWords)
+{
+    Rng rng(11);
+    for (int i = 0; i < (1 << 20); ++i) {
+        Word w = Word(rng.next());
+        ASSERT_EQ(fault::secdedEncode(w), refEncode(w))
+            << std::hex << w;
+    }
+}
+
+TEST(Secded, DecodeMatchesReferenceOnDamagedWords)
+{
+    Rng rng(13);
+    for (int i = 0; i < 2000; ++i) {
+        Word w = Word(rng.next());
+        std::uint8_t ecc = refEncode(w);
+        expectDecodeMatches(w, ecc);
+        // Every single-bit flip: repaired to the same word.
+        for (unsigned bit = 0; bit < 32; ++bit)
+            expectDecodeMatches(w ^ (1u << bit), ecc);
+        // Random double flips: flagged alike, never "repaired".
+        for (int k = 0; k < 32; ++k) {
+            unsigned b1 = unsigned(rng.range(0, 31));
+            unsigned b2 = unsigned(rng.range(0, 30));
+            if (b2 >= b1)
+                ++b2;
+            expectDecodeMatches(w ^ (1u << b1) ^ (1u << b2), ecc);
+        }
+        // Arbitrary stored bytes, bit 7 included.
+        for (int k = 0; k < 32; ++k)
+            expectDecodeMatches(w, std::uint8_t(rng.range(0, 255)));
+    }
+    // And every stored byte against a few fixed words.
+    for (Word w : {0u, 0xffffffffu, 0xdeadbeefu, 0x80000001u})
+        for (unsigned ecc = 0; ecc < 256; ++ecc)
+            expectDecodeMatches(w, std::uint8_t(ecc));
 }
 
 // ---------------------------------------------------------------------

@@ -298,8 +298,9 @@ TEST(TimedFifoStreamProperty, BurstsMatchPerCallReference)
                 fr.push(next, t);
                 ++next;
             }
-            if (rng.range(0, 2) == 0 && fs.canPop(t))
+            if (rng.range(0, 2) == 0 && fs.canPop(t)) {
                 EXPECT_EQ(fs.pop(t), fr.pop(t));
+            }
         }
         ++t; // let the newest push fall through
         if (!fs.streamable(t))

@@ -71,9 +71,10 @@ TEST(Serve, FifoWithinTenant)
         JobResult r = futs[std::size_t(i)].get();
         EXPECT_EQ(r.status, JobStatus::Completed) << r.note;
         EXPECT_TRUE(r.correct);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GT(r.started, prev)
                 << "job " << i << " served out of order";
+        }
         prev = r.started;
     }
     // Same-tenant same-priority jobs deliver in submission order.

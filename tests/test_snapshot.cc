@@ -20,13 +20,16 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <string>
 #include <vector>
 
 #include "common/error.hh"
 #include "fault/fault.hh"
+#include "kernels/entries.hh"
 #include "kernels/kernel_set.hh"
+#include "kernels/matupdate.hh"
 #include "planner/linalg_plan.hh"
 #include "serve/server.hh"
 #include "snap/snapshot.hh"
@@ -416,6 +419,323 @@ TEST(SnapshotResume, WrongConfigurationIsRejected)
               Coprocessor(cfg).configFingerprint());
     EXPECT_NE(Coprocessor(narrow).configFingerprint(),
               Coprocessor(cfg).configFingerprint());
+}
+
+// ---------------------------------------------------------------------
+// Cached microcode images: checkpoint bytes stay exactly the same
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** The matupdate workload of buildPlanned() with non-zero operands,
+ *  so adding and subtracting kernels leave different results. */
+std::unique_ptr<Coprocessor>
+buildSignedMatUpdate(const CoprocConfig &cfg)
+{
+    auto sys = std::make_unique<Coprocessor>(cfg);
+    kernels::installStandardKernels(*sys);
+    LinalgPlanner plan(*sys);
+    const std::size_t n = 24, k = 40;
+    MatRef c = allocMat(sys->memory(), n, n);
+    MatRef a = allocMat(sys->memory(), n, k);
+    MatRef b = allocMat(sys->memory(), k, n);
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < k; ++j) {
+            sys->memory().storeF(a.addrOf(i, j), float(i + j + 1));
+            sys->memory().storeF(b.addrOf(j, i), float(j) - float(i));
+        }
+    plan.matUpdate(c, a, b);
+    plan.commit();
+    return sys;
+}
+
+} // anonymous namespace
+
+TEST(SnapshotImages, RepeatedSnapshotsAreByteEqual)
+{
+    // The first snapshot encodes every kernel image, the second reuses
+    // the cached ones: the bytes must not tell them apart.
+    CoprocConfig cfg = baseConfig(EngineMode::Skip, true, false);
+    RunOut ref = runStraight(cfg, false);
+    auto a = buildPlanned(cfg, false);
+    a->runUntil(ref.endCycle / 2);
+    const std::string first = a->takeSnapshot().encode();
+    EXPECT_EQ(first, a->takeSnapshot().encode());
+}
+
+TEST(SnapshotImages, ReinstalledEntryCarriesItsNewImage)
+{
+    // Mid-run, reinstall the entry the workload calls with a different
+    // program (subtract instead of add). A snapshot taken after that
+    // must carry the new image although an earlier snapshot of the
+    // same machine cached the old one.
+    CoprocConfig cfg = baseConfig(EngineMode::Skip, true, false);
+    auto plain = buildSignedMatUpdate(cfg);
+    plain->run();
+    const RunOut unchanged = finishOut(*plain);
+    plain.reset();
+    const Cycle mid = unchanged.endCycle / 2;
+    auto reinstall = [](Coprocessor &sys) {
+        sys.loadMicrocode(kernels::entries::matUpdateAdd,
+                          kernels::buildMatUpdate(true),
+                          kernels::matUpdateParams);
+    };
+
+    // Uninterrupted reference; its one snapshot encodes from scratch.
+    auto ref = buildSignedMatUpdate(cfg);
+    ref->runUntil(mid);
+    reinstall(*ref);
+    const std::string fresh = ref->takeSnapshot().encode();
+    ref->run();
+    const RunOut want = finishOut(*ref);
+    ref.reset();
+    ASSERT_NE(want.memSum, unchanged.memSum)
+        << "the reinstalled kernel must change the results";
+
+    auto a = buildSignedMatUpdate(cfg);
+    a->runUntil(mid);
+    const std::string before = a->takeSnapshot().encode();
+    reinstall(*a);
+    const snap::Snapshot after = a->takeSnapshot();
+    a.reset();
+    EXPECT_NE(after.encode(), before);
+    EXPECT_EQ(after.encode(), fresh);
+
+    auto b = buildSignedMatUpdate(cfg);
+    b->restoreSnapshot(after);
+    b->run();
+    RunOut got = finishOut(*b);
+    EXPECT_EQ(want.endCycle, got.endCycle);
+    EXPECT_EQ(want.statsJson, got.statsJson);
+    EXPECT_EQ(want.memSum, got.memSum);
+}
+
+TEST(SnapshotImages, RestoreThenSnapshotReproducesTheBytes)
+{
+    // A restore rebuilds the microcode store from the snapshot's
+    // images; snapshotting the restored machine must give back exactly
+    // the bytes it was restored from (faults and all).
+    for (bool lu : {false, true}) {
+        CoprocConfig cfg = baseConfig(EngineMode::Skip, true, true);
+        RunOut ref = runStraight(cfg, lu);
+        auto a = buildPlanned(cfg, lu);
+        a->runUntil(ref.endCycle / 2);
+        const std::string bytes = a->takeSnapshot().encode();
+        a.reset();
+
+        auto b = buildPlanned(cfg, lu);
+        b->restoreSnapshot(snap::Snapshot::decode(bytes, "test"));
+        EXPECT_EQ(b->takeSnapshot().encode(), bytes) << "lu=" << lu;
+    }
+}
+
+// ---------------------------------------------------------------------
+// Restore rejects states the next tick could not run
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** @p s with the payload of section @p name passed through @p edit. */
+snap::Snapshot
+editSection(const snap::Snapshot &s, const std::string &name,
+            const std::function<void(std::string &)> &edit)
+{
+    snap::Snapshot out;
+    out.cycle = s.cycle;
+    out.fingerprint = s.fingerprint;
+    for (const snap::Section &sec : s.sections()) {
+        std::string payload = sec.payload;
+        if (sec.name == name)
+            edit(payload);
+        out.add(sec.name, sec.version, std::move(payload));
+    }
+    return out;
+}
+
+/** Byte offset reached after reading through @p r. */
+std::size_t
+offsetOf(const std::string &payload, const snap::Reader &r)
+{
+    return payload.size() - r.remaining();
+}
+
+/**
+ * Offset of the sequencer block in a cell payload (Cell::saveState):
+ * past the microcode store, the registers, their pending mask and
+ * regay. The block is u8 state, b running, u32 entry, u64 pc,
+ * u32 paramsToRead, u32 paramIndex, u32 decodeLeft, b pmuCall.
+ */
+std::size_t
+cellSeqOffset(const std::string &payload)
+{
+    snap::Reader r(payload, "test");
+    for (std::uint32_t n = r.u32(); n-- > 0;) {
+        r.u32();
+        r.u32();
+        r.str();
+        for (std::uint32_t words = r.u32(); words-- > 0;)
+            r.u32();
+    }
+    for (unsigned i = 0; i < isa::numRegs; ++i)
+        r.u32();
+    r.u64();
+    r.u32();
+    r.b();
+    return offsetOf(payload, r);
+}
+
+// Offsets within the sequencer block.
+constexpr std::size_t seqState = 0, seqRunning = 1, seqToRead = 14,
+                      seqIndex = 18, seqPmuCall = 26;
+// Cell::SeqState values.
+constexpr char stReadParams = 1, stDecode = 2, stRun = 3;
+
+/**
+ * Offsets of the cellMask of every Recv descriptor still queued in a
+ * host payload (Host::saveState leads with the program; each
+ * descriptor is kind, mask, target, region, call words, scalar op,
+ * three addresses, job id and timeout).
+ */
+std::vector<std::size_t>
+hostRecvMaskOffsets(const std::string &payload)
+{
+    std::vector<std::size_t> out;
+    snap::Reader r(payload, "test");
+    for (std::uint32_t n = r.u32(); n-- > 0;) {
+        bool recv = r.u8() == std::uint8_t(host::HostOp::Kind::Recv);
+        if (recv)
+            out.push_back(offsetOf(payload, r));
+        r.u32();
+        r.u8();
+        for (int i = 0; i < 5; ++i)
+            r.u64();
+        for (std::uint32_t words = r.u32(); words-- > 0;)
+            r.u32();
+        r.u8();
+        for (int i = 0; i < 3; ++i)
+            r.u64();
+        r.u32();
+        r.u64();
+    }
+    return out;
+}
+
+void
+poke32(std::string &payload, std::size_t at, std::uint32_t v)
+{
+    for (int i = 0; i < 4; ++i)
+        payload[at + std::size_t(i)] = char(v >> (8 * i));
+}
+
+/** A snapshot of the plain matupdate workload paused mid-run. */
+snap::Snapshot
+midRunSnapshot(const CoprocConfig &cfg)
+{
+    RunOut ref = runStraight(cfg, false);
+    auto a = buildPlanned(cfg, false);
+    a->runUntil(ref.endCycle / 2);
+    return a->takeSnapshot();
+}
+
+/** Restore @p s into a fresh machine; "" on success, else the
+ *  SnapshotError message. */
+std::string
+restoreError(const CoprocConfig &cfg, const snap::Snapshot &s)
+{
+    auto b = buildPlanned(cfg, false);
+    try {
+        b->restoreSnapshot(s);
+    } catch (const SnapshotError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // anonymous namespace
+
+TEST(SnapshotRestoreChecks, KernelStatesWithoutRunningKernelAreRejected)
+{
+    CoprocConfig cfg = baseConfig(EngineMode::Skip, true, false);
+    const snap::Snapshot snap = midRunSnapshot(cfg);
+    const std::string &cell0 = snap.require("comp.cell0").payload;
+    const std::size_t seq = cellSeqOffset(cell0);
+    ASSERT_EQ(cell0[seq + seqState], stRun) << "cell0 is not mid-kernel";
+    ASSERT_EQ(cell0[seq + seqRunning], 1);
+    ASSERT_EQ(cell0[seq + seqPmuCall], 0);
+    ASSERT_EQ(restoreError(cfg, snap), "");
+
+    // Run, Decode and a kernel call's ReadParams all dereference the
+    // running kernel on the next tick: clearing only the running flag
+    // must be refused, not left to crash the engine.
+    for (char st : {stRun, stDecode, stReadParams}) {
+        snap::Snapshot bad =
+            editSection(snap, "comp.cell0", [&](std::string &p) {
+                p[seq + seqState] = st;
+                p[seq + seqRunning] = 0;
+                poke32(p, seq + seqToRead, 1);
+                poke32(p, seq + seqIndex, 0);
+            });
+        const std::string err = restoreError(cfg, bad);
+        EXPECT_NE(err.find("without a running kernel"), std::string::npos)
+            << "state " << int(st) << ": '" << err << "'";
+    }
+}
+
+TEST(SnapshotRestoreChecks, ReadParamsCursorOutOfRangeIsRejected)
+{
+    CoprocConfig cfg = baseConfig(EngineMode::Skip, true, false);
+    const snap::Snapshot snap = midRunSnapshot(cfg);
+    const std::string &cell0 = snap.require("comp.cell0").payload;
+    const std::size_t seq = cellSeqOffset(cell0);
+    ASSERT_EQ(cell0[seq + seqRunning], 1);
+    auto readParams = [&](std::uint32_t to_read, std::uint32_t index) {
+        return editSection(snap, "comp.cell0", [&](std::string &p) {
+            p[seq + seqState] = stReadParams;
+            poke32(p, seq + seqToRead, to_read);
+            poke32(p, seq + seqIndex, index);
+        });
+    };
+
+    // A valid cursor restores...
+    EXPECT_EQ(restoreError(cfg, readParams(1, 0)), "");
+    EXPECT_EQ(restoreError(cfg, readParams(2, isa::numParams - 2)), "");
+    // ...one that would pop forever (zero left to read, so the
+    // countdown wraps) or write past params[] does not.
+    for (auto [to_read, index] :
+         {std::pair<std::uint32_t, std::uint32_t>{0, 0},
+          {2, isa::numParams - 1},
+          {isa::numParams, 1}}) {
+        const std::string err =
+            restoreError(cfg, readParams(to_read, index));
+        EXPECT_NE(err.find("parameter cursor out of range"),
+                  std::string::npos)
+            << "paramsToRead " << to_read << " paramIndex " << index
+            << ": '" << err << "'";
+    }
+}
+
+TEST(SnapshotRestoreChecks, RecvMaskMustNameOneExistingCell)
+{
+    CoprocConfig cfg = baseConfig(EngineMode::Skip, true, false);
+    const snap::Snapshot snap = midRunSnapshot(cfg);
+    const std::vector<std::size_t> masks =
+        hostRecvMaskOffsets(snap.require("comp.host").payload);
+    ASSERT_FALSE(masks.empty()) << "no Recv queued mid-run";
+    auto withMask = [&](std::uint32_t mask) {
+        return editSection(snap, "comp.host", [&](std::string &p) {
+            poke32(p, masks.front(), mask);
+        });
+    };
+
+    EXPECT_EQ(restoreError(cfg, withMask(1u << (cfg.cells - 1))), "");
+    for (std::uint32_t mask :
+         {0u, 3u, 1u << cfg.cells, 1u << 31, 0xffffffffu}) {
+        const std::string err = restoreError(cfg, withMask(mask));
+        EXPECT_NE(err.find("does not name exactly one"), std::string::npos)
+            << std::hex << "mask " << mask << ": '" << err << "'";
+    }
 }
 
 // ---------------------------------------------------------------------
