@@ -191,11 +191,11 @@ echo "serve_report smoke test OK"
 # rates, so the uploaded artifacts carry a cycles-per-wall-second
 # trend next to the cycle counts. table_6_2 runs twice — fast tier
 # off, then on — and both BENCH jsons land in the artifacts dir, so
-# every CI run documents the tier's measured speedup on this runner
-# (the cycle counts in the two files must be identical; only sim_rate
-# may differ). Not gated here beyond the byte-identity the bench
-# itself asserts — the regression-gate leg above already soft-gates
-# sim_rate against the committed baselines.
+# every CI run documents the tier's measured speedup on this runner.
+# The cycle and flop counts in the two files must be identical (only
+# sim_rate may differ): bench_diff --threshold=0 gates exactly that.
+# sim_rate itself is not gated here — the regression-gate leg above
+# already soft-gates it against the committed baselines.
 echo "=== perf smoke (Release) ==="
 release="$build_root/release"
 artifacts="$build_root/artifacts"
@@ -207,6 +207,9 @@ cp "$release/BENCH_table_6_2.json" \
 (cd "$release" && ./bench/table_6_2 --rows 256 --cols 256 \
     --fast-tier=on > /dev/null)
 cp "$release/BENCH_table_6_2.json" \
+    "$artifacts/BENCH_table_6_2_fast_tier_on.json"
+"$release/tools/bench_diff" --threshold=0 \
+    "$artifacts/BENCH_table_6_2_fast_tier_off.json" \
     "$artifacts/BENCH_table_6_2_fast_tier_on.json"
 (cd "$release" && ./bench/kernels_throughput > /dev/null)
 # Per-layer rates: FIFO push+pop under each parity mode and snapshot

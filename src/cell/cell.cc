@@ -219,17 +219,6 @@ Cell::queueFor(Src s)
     }
 }
 
-namespace
-{
-
-bool
-isRecirc(Src s)
-{
-    return s == Src::SumR || s == Src::RetR || s == Src::RebyR;
-}
-
-} // anonymous namespace
-
 StallCause
 Cell::checkHazards(const isa::DecodedInstr &d, Cycle now) const
 {
@@ -290,7 +279,7 @@ Cell::readOperand(const isa::Operand &op, Cycle now, Word mul_out)
         return floatToWord(1.0f);
       default: {
         TimedFifo *q = queueFor(op.kind);
-        if (isRecirc(op.kind))
+        if (isa::isRecirc(op.kind))
             return q->recirculate(now);
         return q->pop(now);
       }
@@ -771,9 +760,14 @@ Cell::tickSequencer(Cycle now, sim::Engine &engine)
 void
 Cell::tick(sim::Engine &engine)
 {
+    tickAt(engine.now(), engine);
+}
+
+void
+Cell::tickAt(Cycle now, sim::Engine &engine)
+{
     if (_dead)
         return;
-    Cycle now = engine.now();
     if (_faulted || now < hangUntil) {
         // Frozen: sequencer and writeback stand still, the queues keep
         // accepting pushes from the host. Occupancy sampling continues

@@ -63,12 +63,6 @@ struct CellConfig
     FpKind fp = FpKind::Soft;       //!< arithmetic back-end
     /** Word protection on all seven FIFO queues (--parity=). */
     fault::ParityMode parity = fault::ParityMode::Off;
-    /**
-     * Offer superop bursts of steady-state innermost loop bodies to
-     * the engine (--fast-tier=). Results are byte-identical either
-     * way; off forces the pure per-cycle interpreter.
-     */
-    bool fastTier = true;
 };
 
 /** Why the sequencer could not issue this cycle (for stall stats). */
@@ -194,10 +188,6 @@ class Cell : public sim::Component
      * on engine mode and flags while the stats JSON must not.
      */
     const stats::StatGroup &fastTierStats() const { return ftGroup; }
-    std::uint64_t burstCyclesExecuted() const
-    {
-        return statFtBurstCycles.value();
-    }
 
     // Observability.
     std::uint64_t issuedOps() const { return statIssued.value(); }
@@ -322,6 +312,13 @@ class Cell : public sim::Component
     void drainWritebacks(Cycle now, sim::Engine &engine);
     bool stepControl(Cycle now);
     void tickSequencer(Cycle now, sim::Engine &engine);
+    /**
+     * One cycle of the cell at @p now: the whole of tick(), which
+     * calls it with engine.now(). burstRun() calls it for every
+     * window cycle turboRun() does not cover, so the interpreter is
+     * the only definition of a cell cycle.
+     */
+    void tickAt(Cycle now, sim::Engine &engine);
 
     /**
      * One analyzed innermost-loop body (fast_tier.cc). The program is
@@ -343,7 +340,7 @@ class Cell : public sim::Component
          * <pop local queue>, Dst<same queue>)`, e.g. matupdate's
          * `fma(rebyR, regAy, sum, DstSum)`. turboRun() executes such
          * a body with direct ring rotation and bulk bookkeeping
-         * instead of the interpreter building blocks.
+         * instead of the interpreter's tick.
          */
         bool turbo = false;
         TimedFifo *turboRotQ = nullptr; //!< recirculating mul operand

@@ -14,24 +14,24 @@
  *
  * The contract is byte-exactness: burstRun must leave every counter,
  * queue and register exactly as the same number of live tick() rounds
- * would have. Two execution levels provide it:
+ * would have. Two executors share a window, tried in this order on
+ * every cycle:
  *
- *  - the generic level reuses the interpreter's own building blocks
- *    (drainWritebacks, checkHazards, issueCompute, emitStall) cycle by
- *    cycle and replaces only the loop-wrap control step and the
- *    per-cycle occupancy sampling (run-length batched) with cheaper
- *    equivalents — exact for any eligible body, but no faster than
- *    the interpreter;
- *  - the specialized level (turboRun) recognizes the canonical
+ *  - turboRun, the one specialized executor, recognizes the canonical
  *    steady-state body of the compute-bound kernels — one chained
  *    `fma(<recirculating local queue>, <register/constant>, <popped
  *    local queue>, Dst<same queue>)`, matupdate's column update and
  *    the convolution passes — and, after verifying sufficient
- *    conditions for the window to be dense (full FP pipeline landing
- *    one result per cycle, both queues streamable, no stall possible),
- *    executes each cycle as two ring rotations plus the FP ops,
- *    settling every counter, watermark and occupancy sample in bulk
- *    afterwards. This is where the fast tier's speedup comes from.
+ *    conditions for the rest of the window to be dense (full FP
+ *    pipeline landing one result per cycle, both queues streamable,
+ *    no stall possible), executes each cycle as two ring rotations
+ *    plus the FP ops, settling every counter, watermark and occupancy
+ *    sample in bulk afterwards. This is where the speedup comes from;
+ *  - otherwise the cycle is the interpreter's own (tickAt, the body
+ *    of tick()): no copy of the sequencer lives here. Such cycles fill
+ *    the FP pipeline inside a window until turbo can take over, and
+ *    let a cell whose pipeline is not yet steady share a multi-cell
+ *    window instead of blocking it.
  *
  * Eligibility ("compilation") is a one-time analysis per loop body,
  * cached in Cell::fastBodies and invalidated by loadMicrocode():
@@ -45,7 +45,7 @@
  *    quiescent-skip argument;
  *  - controlOpsPerCycle >= 2, so the interpreter's zero-overhead wrap
  *    (LoopEnd consumed, then the body's first Compute reached) fits in
- *    one cycle's control budget, which is what the executor models.
+ *    one cycle's control budget and never costs a cycle of its own.
  */
 
 #include "cell/cell.hh"
@@ -66,14 +66,6 @@ bool
 readsInterface(const isa::Operand &op)
 {
     return op.used() && (op.kind == Src::TpX || op.kind == Src::TpY);
-}
-
-/** True for the head-to-tail loop-back read kinds (cell.cc has its
- *  own copy in file scope). */
-bool
-isRecirc(Src s)
-{
-    return s == Src::SumR || s == Src::RetR || s == Src::RebyR;
 }
 
 /** Deepest FP pipeline turboRun() handles (mulLatency + addLatency). */
@@ -144,7 +136,7 @@ Cell::fastBodyFor(std::size_t body_pc)
 
     // Specialize the canonical single-instruction chained-fma body.
     // Anything here is a pure strengthening: a body that fails these
-    // checks still bursts on the generic level.
+    // checks still bursts, one interpreted cycle at a time.
     if (eligible && scan == body_pc + 1
         && cfg.mulLatency + cfg.addLatency >= 1
         && cfg.mulLatency + cfg.addLatency <= kMaxTurboDepth) {
@@ -152,7 +144,7 @@ Cell::fastBodyFor(std::size_t body_pc)
         const isa::DecodedInstr &d = current->prog.decodedAt(body_pc);
         if (d.mulActive && d.addActive && d.addAFromMul && !d.mvActive
             && d.numNeeds == 0 && !d.wawAy && d.numWawRegs == 0
-            && isRecirc(in.mulA.kind) && isScalarOperand(in.mulB.kind)
+            && isa::isRecirc(in.mulA.kind) && isScalarOperand(in.mulB.kind)
             && dstBitFor(in.addB.kind) != 0
             && in.dstMask == dstBitFor(in.addB.kind)
             && in.mvDstMask == 0
@@ -226,8 +218,12 @@ Cell::turboRun(Cycle from, Cycle cycles, sim::Engine &engine)
     }
 
     // Settle everything the per-cycle path would have left behind.
+    // Every queue's occupancy was invariant over the window.
     popq->streamCommit(w, true);
     rotq->streamCommit(w, false);
+    _sum.sampleOccupancy(w);
+    _ret.sampleOccupancy(w);
+    _reby.sampleOccupancy(w);
     if (token)
         fpu->countBulk(w);
     for (unsigned j = 0; j < depth; ++j) {
@@ -242,8 +238,6 @@ Cell::turboRun(Cycle from, Cycle cycles, sim::Engine &engine)
     statBusy += w;
     statFma += w;
     statIssued += w;
-    statFtBurstIssued += w;
-    statFtBurstIters += wraps;
     statFtTurboCycles += w;
     engine.noteProgress();
     return w;
@@ -254,7 +248,7 @@ Cell::burstQuantum(Cycle now)
 {
     // Not in a streamable state: silent (no fallback counter) — this
     // is the ordinary non-steady-state case, not a refused burst.
-    if (!cfg.fastTier || _dead || _faulted || now < hangUntil
+    if (_dead || _faulted || now < hangUntil
         || state != SeqState::Run || loopStack.empty())
         return 0;
     if (tracer || traceHook) {
@@ -298,49 +292,22 @@ Cell::burstRun(Cycle from, Cycle cycles, sim::Engine &engine,
                 "%s: burstRun without a validated body", name().c_str());
     ++statFtBursts;
     statFtBurstCycles += cycles;
+    // The quantum keeps every wrap inside the window on remaining > 0,
+    // so the innermost frame survives the window.
+    const std::uint64_t issued0 = statIssued.value();
+    const std::uint32_t remaining0 = loopStack.back().remaining;
 
-    // Run-length batching of the per-cycle occupancy samples tick()
-    // takes on sum/ret/reby: flush a run only when the count changes
-    // (and once at the end), byte-identical to cycles individual
-    // samples.
-    TimedFifo *const sampled[3] = {&_sum, &_ret, &_reby};
-    std::size_t runVal[3];
-    std::uint64_t runLen[3] = {0, 0, 0};
-    for (int i = 0; i < 3; ++i)
-        runVal[i] = sampled[i]->size();
-    auto sampleCycle = [&] {
-        for (int i = 0; i < 3; ++i) {
-            std::size_t v = sampled[i]->size();
-            if (v != runVal[i]) {
-                if (runLen[i])
-                    sampled[i]->sampleOccupancyRun(runVal[i], runLen[i]);
-                runVal[i] = v;
-                runLen[i] = 0;
-            }
-            ++runLen[i];
-        }
-    };
-
-    Cycle k = 0;
-    while (k < cycles) {
-        // A protection fault raised by a mid-window pop (queue parity)
-        // freezes the sequencer exactly as on the per-cycle path; the
-        // rest of the window becomes the frozen tail below.
-        if (_faulted)
-            break;
-        const Cycle now = from + k;
-
+    for (Cycle k = 0; k < cycles;) {
         // Specialized executor first: it consumes the whole remaining
         // window when the steady state is dense, which it stays for —
-        // nothing inside the window can perturb it.
+        // nothing inside the window can perturb it. It needs
+        // unprotected queues, so it never meets a cell frozen by a
+        // mid-window protection fault.
         if (b->turbo) {
-            const Cycle t = Cycle(turboRun(now, cycles - k, engine));
+            const Cycle t = Cycle(turboRun(from + k, cycles - k, engine));
             if (t != 0) {
-                // Queue occupancies were invariant: extend the open
-                // runs. Every turbo cycle progressed: fill its span
-                // of the (sequentially shared) progress bitmap.
-                for (int i = 0; i < 3; ++i)
-                    runLen[i] += t;
+                // Every turbo cycle progressed: fill its span of the
+                // (sequentially shared) progress bitmap.
                 for (Cycle c = k; c < k + t;) {
                     if ((c & 63) == 0 && c + 64 <= k + t) {
                         progress_bits[c >> 6] = ~std::uint64_t(0);
@@ -356,56 +323,19 @@ Cell::burstRun(Cycle from, Cycle cycles, sim::Engine &engine,
             }
         }
 
-        bool prog = false;
-        if (now >= wbReadyAt) {
-            const std::size_t before = inflight.size();
-            drainWritebacks(now, engine);
-            prog = inflight.size() != before;
-        }
-
-        // tickSequencer, Run state: busy cycle, zero-overhead wrap,
-        // hazard-checked issue. The quantum guarantees remaining > 0
-        // at every wrap inside the window.
-        ++statBusy;
-        if (pc == b->endPc) {
-            LoopFrame &f = loopStack.back();
-            --f.remaining;
-            pc = f.bodyPc;
-            ++statFtBurstIters;
-        }
-        const isa::Instr &in = current->prog.at(pc);
-        const isa::DecodedInstr &d = current->prog.decodedAt(pc);
-        StallCause stall = checkHazards(d, now);
-        if (stall == StallCause::None) {
-            issueCompute(in, d, now);
-            ++pc;
-            engine.noteProgress();
-            ++statFtBurstIssued;
-            prog = true;
-        } else {
-            emitStall(stall, now);
-        }
-
-        if (prog)
+        // The interpreter's own cycle, frozen branch included. An
+        // eligible body is straight-line Compute ops and its wrap fits
+        // one cycle's control budget, so the only progress a live tick
+        // can report here is an issue or a landed writeback.
+        const std::uint64_t issued = statIssued.value();
+        const std::size_t pending = inflight.size();
+        tickAt(from + k, engine);
+        if (statIssued.value() != issued || inflight.size() < pending)
             progress_bits[k >> 6] |= std::uint64_t(1) << (k & 63);
-        sampleCycle();
         ++k;
     }
-    for (int i = 0; i < 3; ++i) {
-        if (runLen[i])
-            sampled[i]->sampleOccupancyRun(runVal[i], runLen[i]);
-    }
-
-    if (k < cycles) {
-        // Frozen tail after a mid-window fault: the per-cycle path
-        // counts hang cycles and keeps sampling occupancy, with no
-        // busy cycles and no writeback drain.
-        const Cycle rest = cycles - k;
-        statHangCycles += rest;
-        _sum.sampleOccupancy(rest);
-        _ret.sampleOccupancy(rest);
-        _reby.sampleOccupancy(rest);
-    }
+    statFtBurstIssued += statIssued.value() - issued0;
+    statFtBurstIters += remaining0 - loopStack.back().remaining;
     burstBody = nullptr;
 }
 

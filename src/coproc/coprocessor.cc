@@ -16,12 +16,10 @@ Coprocessor::Coprocessor(const CoprocConfig &cfg)
                 "cell count %u out of range [1, 32]", cfg.cells);
     eng.setMode(cfg.engineMode);
     eng.setFastTier(cfg.fastTier);
-    cell::CellConfig ccfg = cfg.cell;
-    ccfg.fastTier = cfg.fastTier && cfg.cell.fastTier;
     std::vector<cell::Cell *> raw;
     for (unsigned i = 0; i < cfg.cells; ++i) {
         cellPtrs.push_back(std::make_unique<cell::Cell>(
-            strfmt("cell%u", i), ccfg, &statRoot));
+            strfmt("cell%u", i), cfg.cell, &statRoot));
         raw.push_back(cellPtrs.back().get());
     }
     hostPtr = std::make_unique<host::Host>("host", cfg.host, mem, raw,

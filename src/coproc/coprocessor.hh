@@ -55,7 +55,7 @@ struct CoprocConfig
      * engine grant cells multi-cycle quanta over steady-state
      * innermost loop bodies (docs/PERFORMANCE.md). Byte-identical
      * either way; off forces the pure per-cycle interpreter in every
-     * engine mode. ANDed with cell.fastTier per cell.
+     * engine mode.
      */
     bool fastTier = true;
 

@@ -128,22 +128,6 @@ class TimedFifo
         occupancy.sample(double(count), n);
     }
 
-    /**
-     * Record @p n occupancy samples of a *past* occupancy @p value.
-     * The superop fast tier batches runs of bulk-executed cycles over
-     * which the occupancy did not change and flushes each run in one
-     * call after the count has already moved on — byte-identical to n
-     * per-cycle sampleOccupancy() calls made while the count was
-     * @p value. Watermark and push/pop counters are unaffected: the
-     * fast tier mutates the queue through the ordinary push/pop
-     * operations, which keep those exact on their own.
-     */
-    void
-    sampleOccupancyRun(std::size_t value, std::uint64_t n)
-    {
-        occupancy.sample(double(value), n);
-    }
-
     // --- superop fast-tier streaming (src/cell/fast_tier.cc) -------
 
     /**

@@ -46,6 +46,13 @@ enum class Src : std::uint8_t
     One,    //!< constant +1.0
 };
 
+/** True for the recirculating read kinds (pop + repush at the tail). */
+inline bool
+isRecirc(Src s)
+{
+    return s == Src::SumR || s == Src::RetR || s == Src::RebyR;
+}
+
 /** A source with its register index (used only when kind == Src::Reg). */
 struct Operand
 {

@@ -243,12 +243,6 @@ cellQueueOf(Src s)
     }
 }
 
-bool
-isRecircSrc(Src s)
-{
-    return s == Src::SumR || s == Src::RetR || s == Src::RebyR;
-}
-
 DecodedInstr
 decodeCompute(const Instr &in)
 {
@@ -272,7 +266,7 @@ decodeCompute(const Instr &in)
             r.kind = DecodedRead::Kind::Queue;
             r.queue = std::uint8_t(q);
             --need[q];               // the pop frees a slot at issue
-            if (isRecircSrc(op->kind))
+            if (isRecirc(op->kind))
                 ++need[q];           // ... which the repush reclaims
         } else if (op->kind == Src::RegAy) {
             r.kind = DecodedRead::Kind::RegAy;

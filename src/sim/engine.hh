@@ -327,7 +327,6 @@ class Engine
      * stays byte-identical with the tier on or off.
      */
     void setFastTier(bool on) { fastTier_ = on; }
-    bool fastTierEnabled() const { return fastTier_; }
 
     /**
      * Skip diagnostics. Deliberately NOT registered as statistics:

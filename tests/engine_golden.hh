@@ -67,6 +67,9 @@ struct RunOut
     std::uint64_t fastForwards = 0;
     std::uint64_t skippedCycles = 0;
     std::uint64_t bursts = 0;
+    /** Summed over the cells' fast-tier counters. */
+    std::uint64_t burstCycles = 0;
+    std::uint64_t turboCycles = 0;
 };
 
 /**
@@ -146,6 +149,11 @@ runWorkload(Workload w, Shape s, sim::EngineMode mode, bool traced,
     out.fastForwards = sys.engine().fastForwards();
     out.skippedCycles = sys.engine().skippedCycles();
     out.bursts = sys.engine().bursts();
+    for (unsigned i = 0; i < sys.numCells(); ++i) {
+        const stats::StatGroup &ft = sys.cell(i).fastTierStats();
+        out.burstCycles += ft.counterValue("burstCycles");
+        out.turboCycles += ft.counterValue("turboCycles");
+    }
     return out;
 }
 

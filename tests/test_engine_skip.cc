@@ -206,6 +206,14 @@ TEST(FastTier, BurstsEngageOnSteadyStreamingLoops)
         RunOut on = runWorkload(Workload::MatUpdate, s, EngineMode::Skip,
                                 false, false, true);
         EXPECT_GT(on.bursts, 0u) << what;
+        if (s.p == kFourCells.p) {
+            // Neither window executor may go dead silently: turbo runs
+            // the steady chained-fma stretches, interpreted window
+            // cycles warm the FP pipeline and let a not-yet-steady
+            // cell join a shared window.
+            EXPECT_GT(on.turboCycles, 0u) << what;
+            EXPECT_GT(on.burstCycles, on.turboCycles) << what;
+        }
         RunOut off = runWorkload(Workload::MatUpdate, s,
                                  EngineMode::Skip, false, false, false);
         EXPECT_EQ(off.bursts, 0u) << what;

@@ -4,8 +4,9 @@
  * (docs/RESILIENCE.md): seed-determinism of fault plans, SECDED word
  * protection, per-site parity detect/correct survival, transaction
  * timeout -> retry -> replay over the kernel library, dead-cell
- * degradation with re-planning, spin-vs-skip cycle identity under
- * faults, and the engine's non-fatal watchdog callback.
+ * degradation with re-planning, spin-vs-skip and fast-tier on/off
+ * identity under faults (one raised inside a burst window), and the
+ * engine's non-fatal watchdog callback.
  */
 
 #include <gtest/gtest.h>
@@ -736,6 +737,71 @@ TEST(Faults, SkipAndSpinAreCycleIdentical)
     auto spin = run(false);
     EXPECT_EQ(skip.first, spin.first);
     EXPECT_EQ(skip.second, spin.second);
+}
+
+TEST(Faults, ProtectionFaultInsideABurstFreezesTheCell)
+{
+    // Four cells stream matupdate with parity on, so turbo refuses and
+    // every burst window cycle is interpreted. A two-bit flip into a
+    // local queue is detected when the cell first pops the word. On
+    // its own that pop is always a live round: a streaming cell pops
+    // the flipped front in the same round, and a cell between loops
+    // reaches it in a loop's first iteration, which no window covers.
+    // The transient hang holds the pop back until the hang expires
+    // just as the cell's neighbours open a window, so the fault rises
+    // inside the window and the rest of the window must freeze the
+    // cell exactly as live ticks do. The cycles are tied to this
+    // workload's timeline (the window opens at 5048 + 9): a model
+    // change that moves it needs new ones, re-checked against a
+    // mutant whose burst ignores the frozen state.
+    struct Out
+    {
+        Cycle cycles = 0;
+        std::string stats;
+        std::uint64_t bursts = 0;
+        std::uint64_t faults = 0;
+    };
+    auto run = [](const std::string &spec, sim::EngineMode mode,
+                  bool fast_tier) {
+        CoprocConfig cfg = makeConfig(4, 256);
+        cfg.engineMode = mode;
+        cfg.fastTier = fast_tier;
+        protect(cfg, spec, fault::ParityMode::Detect, /*timeout=*/4000);
+        Coprocessor sys(cfg);
+        kernels::installStandardKernels(sys);
+        MatRef c = allocMat(sys.memory(), 24, 24);
+        MatRef a = allocMat(sys.memory(), 24, 40);
+        MatRef b = allocMat(sys.memory(), 40, 24);
+        JobRunner jobs(sys);
+        jobs.add("gemm", [&sys, c, a, b](std::uint32_t alive) {
+            LinalgPlanner plan(sys, alive);
+            plan.matUpdate(c, a, b);
+            return plan.takeOps();
+        });
+        jobs.dispatch();
+        Out out;
+        out.cycles = sys.run();
+        out.stats = sys.statsJson();
+        out.bursts = sys.engine().bursts();
+        for (unsigned i = 0; i < sys.numCells(); ++i)
+            out.faults += sys.cell(i).faultCount();
+        return out;
+    };
+    for (const char *spec : {"at=5048/flip/1/sum/3,at=5048/hang/1/9",
+                             "at=5048/flip/2/reby/3,at=5048/hang/2/9"}) {
+        Out spin_off = run(spec, sim::EngineMode::Spin, false);
+        Out spin_on = run(spec, sim::EngineMode::Spin, true);
+        Out skip_off = run(spec, sim::EngineMode::Skip, false);
+        Out skip_on = run(spec, sim::EngineMode::Skip, true);
+        EXPECT_GT(skip_on.faults, 0u) << spec;
+        EXPECT_GT(skip_on.bursts, 0u) << spec;
+        EXPECT_EQ(skip_on.cycles, skip_off.cycles) << spec;
+        EXPECT_EQ(skip_on.stats, skip_off.stats) << spec;
+        EXPECT_EQ(spin_on.cycles, spin_off.cycles) << spec;
+        EXPECT_EQ(spin_on.stats, spin_off.stats) << spec;
+        EXPECT_EQ(skip_off.cycles, spin_off.cycles) << spec;
+        EXPECT_EQ(skip_off.stats, spin_off.stats) << spec;
+    }
 }
 
 // ---------------------------------------------------------------------
