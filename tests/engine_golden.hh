@@ -17,6 +17,7 @@
 
 #include "coproc/coprocessor.hh"
 #include "fault/fault.hh"
+#include "host/host.hh"
 #include "kernels/kernel_set.hh"
 #include "planner/linalg_plan.hh"
 #include "trace/trace.hh"
@@ -70,6 +71,11 @@ struct RunOut
     /** Summed over the cells' fast-tier counters. */
     std::uint64_t burstCycles = 0;
     std::uint64_t turboCycles = 0;
+    /**
+     * PMU readbacks over tpi, two words per register (low half first),
+     * cell-major in the order runWorkload() was asked for them.
+     */
+    std::vector<Word> pmuWords;
 };
 
 /**
@@ -81,9 +87,15 @@ struct RunOut
 inline constexpr const char *kFaultSpec =
     "seed=7,rate=500,horizon=20000,kinds=flip+hang+mem,bits=1";
 
+/**
+ * Run workload @p w. Every cell's registers in @p pmu are read back
+ * over tpi by host programs appended after the workload's own, so the
+ * readbacks see the machine's final counters.
+ */
 inline RunOut
 runWorkload(Workload w, Shape s, sim::EngineMode mode, bool traced,
-            bool faulted = false, bool fast_tier = true)
+            bool faulted = false, bool fast_tier = true,
+            const std::vector<cell::PmuReg> &pmu = {})
 {
     using namespace planner;
 
@@ -142,8 +154,19 @@ runWorkload(Workload w, Shape s, sim::EngineMode mode, bool traced,
     }
     plan.commit();
 
+    const std::size_t pmu_words = 2 * pmu.size() * s.p;
+    const std::size_t pmu_at = sys.memory().alloc(pmu_words);
+    for (unsigned c = 0; c < s.p; ++c) {
+        for (std::size_t i = 0; i < pmu.size(); ++i) {
+            sys.host().enqueue(host::pmuReadProgram(
+                c, pmu[i], pmu_at + 2 * (c * pmu.size() + i)));
+        }
+    }
+
     RunOut out;
     out.cycles = sys.run();
+    for (std::size_t i = 0; i < pmu_words; ++i)
+        out.pmuWords.push_back(sys.memory().load(pmu_at + i));
     out.statsJson = sys.statsJson();
     out.events = std::move(sink.events);
     out.fastForwards = sys.engine().fastForwards();

@@ -1,0 +1,188 @@
+/**
+ * @file
+ * Pins the machine's statistics to committed values. Every other
+ * byte-identity suite compares one engine mode or fidelity tier with
+ * another, so a change that moves all of them the same way (a cycle
+ * charged to the wrong bucket, a sample taken one cycle late) passes
+ * there. Here each run's stats JSON — the whole tree plus the sampled
+ * series at interval 64 — and its PMU readbacks are hashed and
+ * compared with a hash of the reference model's output.
+ *
+ * After a deliberate model change, run this test: each mismatching
+ * case prints its new hash as a source line for kGolden and writes its
+ * stats JSON next to the test binary (golden_<case>.json) for review.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <fstream>
+
+#include "blasref/matrix.hh"
+#include "common/random.hh"
+#include "engine_golden.hh"
+#include "planner/jobs.hh"
+#include "snap/snapshot.hh"
+#include "trace/json.hh"
+
+using namespace opac;
+using namespace opac::test;
+
+namespace
+{
+
+/** The PMU registers every clean run reads back from every cell. */
+const std::vector<cell::PmuReg> kPmuRegs = {
+    cell::PmuReg::BusyCycles,    cell::PmuReg::IdleCycles,
+    cell::PmuReg::StallSrcEmpty, cell::PmuReg::StallDstFull,
+    cell::PmuReg::StallRegPending,
+};
+
+struct Golden
+{
+    const char *name;
+    std::uint64_t hash;
+};
+
+// clang-format off
+const Golden kGolden[] = {
+    {"matupdate_p1_clean", 0x2b5085b9c87fa9c9ull},
+    {"matupdate_p1_faulted", 0x29cf99f282ecf28full},
+    {"matupdate_p4_clean", 0x4a3f37b314e2caeeull},
+    {"matupdate_p4_faulted", 0xf149b8db9d0dc959ull},
+    {"lu_p1_clean", 0x997343e9aa48dacbull},
+    {"lu_p1_faulted", 0x39783e5473e6f187ull},
+    {"lu_p4_clean", 0xf1a984fb20f73c58ull},
+    {"lu_p4_faulted", 0x7b28b68f567c26ebull},
+    {"trmm_p1_clean", 0x8b42611c92dec982ull},
+    {"trmm_p1_faulted", 0xcb658e5d92ae50d9ull},
+    {"trmm_p4_clean", 0x6c8d7be189ab4959ull},
+    {"trmm_p4_faulted", 0xd8e03f9d6626b1abull},
+    {"syrk_p1_clean", 0xd01558f37a47ba37ull},
+    {"syrk_p1_faulted", 0x40401b60e0662a17ull},
+    {"syrk_p4_clean", 0x825d5a24faed1e42ull},
+    {"syrk_p4_faulted", 0x761a6b52b9b7d363ull},
+    {"recovery_dead_cell", 0x496d0d6b6de906f6ull},
+};
+// clang-format on
+
+std::uint64_t
+goldenHash(const std::string &json, const std::vector<Word> &pmu)
+{
+    std::uint64_t h = snap::fnv1a(json.data(), json.size());
+    for (Word w : pmu)
+        h = snap::fnvMix(h, w);
+    return h;
+}
+
+/** Compare @p got with the committed hash of case @p name. */
+void
+expectGolden(const std::string &name, const std::string &json,
+             const std::vector<Word> &pmu)
+{
+    const std::uint64_t got = goldenHash(json, pmu);
+    const Golden *want = nullptr;
+    for (const Golden &g : kGolden) {
+        if (name == g.name)
+            want = &g;
+    }
+    ASSERT_NE(want, nullptr) << "no golden hash for " << name;
+    if (got == want->hash)
+        return;
+    const std::string path = "golden_" + name + ".json";
+    std::ofstream(path) << json;
+    char line[96];
+    std::snprintf(line, sizeof line, "    {\"%s\", 0x%016llxull},",
+                  name.c_str(), (unsigned long long)got);
+    ADD_FAILURE() << name << ": stats differ from the reference (JSON in "
+                  << path << "); if the change is deliberate:\n"
+                  << line;
+}
+
+/** One named value of a stats JSON document ("stats" object). */
+const trace::json::Value *
+statOf(const trace::json::Value &doc, const std::string &name)
+{
+    const trace::json::Value *stats = doc.find("stats");
+    return stats ? stats->find(name) : nullptr;
+}
+
+} // anonymous namespace
+
+TEST(StatsGolden, WorkloadsMatchTheReferenceModel)
+{
+    for (Workload w : kAllLoads) {
+        for (Shape s : kGoldenShapes) {
+            for (bool faulted : {false, true}) {
+                const std::string name =
+                    std::string(workloadName(w)) + "_p"
+                    + std::to_string(s.p)
+                    + (faulted ? "_faulted" : "_clean");
+                RunOut out = runWorkload(
+                    w, s, sim::EngineMode::Spin, false, faulted, true,
+                    faulted ? std::vector<cell::PmuReg>{} : kPmuRegs);
+                expectGolden(name, out.statsJson, out.pmuWords);
+            }
+        }
+    }
+}
+
+TEST(StatsGolden, DeadCellStopsCounting)
+{
+    // The Recovery.DeadCellDegradesOntoSurvivors machine: cell 1 hangs
+    // for good at cycle 2500, two retries fail, and the host retires
+    // it and re-plans the three GEMMs onto cells 0, 2 and 3.
+    auto run = [](sim::EngineMode mode) {
+        copro::CoprocConfig cfg;
+        cfg.cells = 4;
+        cfg.cell.tf = 512;
+        cfg.cell.interfaceDepth = 2048;
+        cfg.host.tau = 2;
+        cfg.watchdogCycles = 500000;
+        cfg.statsSampleInterval = 64;
+        cfg.engineMode = mode;
+        cfg.faults = fault::parseFaultSpec("at=2500/hang/1/0");
+        cfg.cell.parity = fault::ParityMode::Correct;
+        cfg.host.recovery.enabled = true;
+        cfg.host.recovery.timeoutCycles = 3000;
+        cfg.host.recovery.retryBudget = 2;
+        copro::Coprocessor sys(cfg);
+        kernels::installStandardKernels(sys);
+        Rng rng(7);
+        planner::JobRunner jobs(sys);
+        for (unsigned j = 0; j < 3; ++j) {
+            blasref::Matrix c(20, 20), a(20, 12), b(12, 20);
+            c.randomize(rng);
+            a.randomize(rng);
+            b.randomize(rng);
+            planner::MatRef cr = planner::allocMat(sys.memory(), 20, 20);
+            planner::MatRef ar = planner::allocMat(sys.memory(), 20, 12);
+            planner::MatRef br = planner::allocMat(sys.memory(), 12, 20);
+            planner::storeMat(sys.memory(), cr, c);
+            planner::storeMat(sys.memory(), ar, a);
+            planner::storeMat(sys.memory(), br, b);
+            jobs.add("gemm" + std::to_string(j),
+                     [&sys, cr, ar, br](std::uint32_t alive) {
+                         planner::LinalgPlanner plan(sys, alive);
+                         plan.matUpdate(cr, ar, br);
+                         return plan.takeOps();
+                     });
+        }
+        jobs.dispatch();
+        sys.run();
+        EXPECT_TRUE(sys.cell(1).dead());
+        return sys.statsJson();
+    };
+    const std::string spin = run(sim::EngineMode::Spin);
+    expectGolden("recovery_dead_cell", spin, {});
+    EXPECT_EQ(run(sim::EngineMode::Skip), spin);
+
+    // The dead cell's occupancy samples end where it died.
+    trace::json::Value doc;
+    std::string err;
+    ASSERT_TRUE(trace::json::parse(spin, doc, &err)) << err;
+    const auto *cycles = statOf(doc, "system.engine.cycles");
+    const auto *occ = statOf(doc, "system.cell1.sum.occupancy");
+    ASSERT_TRUE(cycles && occ && occ->find("count"));
+    EXPECT_LT(occ->find("count")->number, cycles->number);
+}
