@@ -2,9 +2,10 @@
  * @file
  * google-benchmark microbenchmarks of the simulator itself: softfloat
  * operation rates, FIFO operation rates per word-protection mode,
- * end-to-end cell simulation speed and snapshot-save throughput. These
- * guard the wall-clock cost of the big table sweeps and of the job
- * server's protected queues and checkpoints.
+ * end-to-end cell simulation speed (streaming and stalled) and
+ * snapshot-save throughput. These guard the wall-clock cost of the big
+ * table sweeps and of the job server's protected queues and
+ * checkpoints.
  */
 
 #include <benchmark/benchmark.h>
@@ -124,6 +125,32 @@ BENCHMARK(BM_CellInnerLoop)
     ->Arg(int(cell::FpKind::Soft))
     ->Arg(int(cell::FpKind::Native))
     ->Arg(int(cell::FpKind::Token));
+
+/**
+ * The stall tick: one cell under the spin engine blocked on an empty
+ * tpx, so every iteration runs a fixed number of interpreted cycles
+ * that each re-try the same issue and charge a stall. Most of
+ * hostbound's cell ticks have this shape (bus-paced source queues).
+ * Reports cell ticks per second.
+ */
+void
+BM_CellStallTick(benchmark::State &state)
+{
+    using namespace isa;
+    constexpr Cycle cycles = 1u << 16;
+    cell::Cell c("bench", cell::CellConfig{});
+    ProgramBuilder b("wait");
+    b.mov(Src::TpX, DstTpO);
+    c.loadMicrocode(1, b.finish(), 0);
+    c.tpi().push(1, 0);
+    sim::Engine e(0); // no watchdog: the cell never progresses
+    e.setMode(sim::EngineMode::Spin);
+    e.add(&c);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(e.runUntil(e.now() + cycles));
+    state.SetItemsProcessed(std::int64_t(state.iterations()) * cycles);
+}
+BENCHMARK(BM_CellStallTick);
 
 /**
  * Snapshot save: takeSnapshot().encode() of a 2-cell machine with the

@@ -4,7 +4,6 @@
 
 #include "common/error.hh"
 #include "common/logging.hh"
-#include "isa/disasm.hh"
 #include "isa/encode.hh"
 #include "sim/replay.hh"
 #include "snap/snapshot.hh"
@@ -144,12 +143,6 @@ Cell::pmuRead(PmuReg reg) const
     opac_warn_once("%s: PMU read of unknown register %u reads as zero",
                    name().c_str(), unsigned(reg));
     return 0;
-}
-
-void
-Cell::setTraceHook(std::function<void(const std::string &)> hook)
-{
-    traceHook = std::move(hook);
 }
 
 void
@@ -457,24 +450,26 @@ Cell::drainWritebacks(Cycle now, sim::Engine &engine)
     wbReadyAt = std::max(m, now + 1);
 }
 
-/** Count one stalled issue cycle and emit its trace event. */
-void
+/**
+ * Emit the trace event of a stalled issue cycle; returns the stall
+ * counter the cycle is charged to.
+ */
+stats::Counter *
 Cell::emitStall(StallCause cause, Cycle now)
 {
     trace::StallWhy why = trace::StallWhy::SrcEmpty;
+    stats::Counter *charge = &statStallSrc;
     switch (cause) {
       case StallCause::None:
         opac_panic("emitStall without a stall");
       case StallCause::SrcEmpty:
-        ++statStallSrc;
-        why = trace::StallWhy::SrcEmpty;
         break;
       case StallCause::DstFull:
-        ++statStallDst;
+        charge = &statStallDst;
         why = trace::StallWhy::DstFull;
         break;
       case StallCause::RegPending:
-        ++statStallReg;
+        charge = &statStallReg;
         why = trace::StallWhy::RegPending;
         break;
     }
@@ -482,6 +477,7 @@ Cell::emitStall(StallCause cause, Cycle now)
         tracer->emit(now, trace::EventKind::Stall, std::uint8_t(why),
                      traceComp, 0, std::uint32_t(pc), 0);
     }
+    return charge;
 }
 
 /**
@@ -545,18 +541,24 @@ Cell::stepControl(Cycle now)
 void
 Cell::tickSequencer(Cycle now, sim::Engine &engine)
 {
+    // The state this cycle is charged to: busy unless a branch below
+    // says otherwise, plus the stall cause when nothing could issue.
+    stats::Counter *charge = &statBusy;
+    stats::Counter *stallCharge = nullptr;
     switch (state) {
       case SeqState::Idle:
         if (_tpi.canPop(now)) {
             Word entry = _tpi.pop(now);
             if (entry == pmuCallEntry) {
                 // PMU status call: one parameter word selects the
-                // register; the readback is not a kernel call and
-                // leaves the kernel counters untouched.
+                // register; the readback is not a kernel call, leaves
+                // the kernel counters untouched and this cycle is
+                // charged to no bucket.
                 pmuCall = true;
                 paramsToRead = 1;
                 paramIndex = 0;
                 state = SeqState::ReadParams;
+                charge = nullptr;
                 engine.noteProgress();
                 break;
             }
@@ -569,6 +571,7 @@ Cell::tickSequencer(Cycle now, sim::Engine &engine)
                                " (cell faulted)",
                                name().c_str(), entry);
                 enterFaulted("unknown call entry", now);
+                charge = nullptr;
                 engine.noteProgress(); // the pop was progress
                 break;
             }
@@ -579,12 +582,6 @@ Cell::tickSequencer(Cycle now, sim::Engine &engine)
                                      : SeqState::Decode;
             decodeLeft = cfg.callDecodeCycles;
             ++statCalls;
-            ++statBusy;
-            if (traceHook) {
-                traceHook(strfmt("%llu call %s",
-                                 (unsigned long long)now,
-                                 current->prog.name().c_str()));
-            }
             if (tracer) {
                 callTrack = tracer->internTrack(traceComp,
                                                 current->prog.name());
@@ -593,12 +590,11 @@ Cell::tickSequencer(Cycle now, sim::Engine &engine)
             }
             engine.noteProgress();
         } else {
-            ++statIdle;
+            charge = &statIdle;
         }
         break;
 
       case SeqState::ReadParams:
-        ++statBusy;
         if (_tpi.canPop(now)) {
             params[paramIndex++] = std::int32_t(_tpi.pop(now));
             if (--paramsToRead == 0)
@@ -608,8 +604,10 @@ Cell::tickSequencer(Cycle now, sim::Engine &engine)
         break;
 
       case SeqState::PmuRespond: {
-        ++statBusy;
         if (_tpo.space() >= 2) {
+            // The value returned includes this busy cycle.
+            clock.enter(&statBusy, nullptr, now);
+            clock.settle(now + 1);
             std::uint64_t v = pmuRead(PmuReg(std::uint32_t(params[0])));
             _tpo.push(Word(v), now);
             _tpo.push(Word(v >> 32), now);
@@ -617,7 +615,7 @@ Cell::tickSequencer(Cycle now, sim::Engine &engine)
             state = SeqState::Idle;
             engine.noteProgress();
         } else {
-            ++statStallDst;
+            stallCharge = &statStallDst;
         }
         break;
       }
@@ -626,7 +624,6 @@ Cell::tickSequencer(Cycle now, sim::Engine &engine)
         // A pure countdown is not forward progress: it is fully
         // predictable (see nextEventAt), so the engine may skip it.
         // Completing the dispatch is.
-        ++statBusy;
         if (decodeLeft > 1) {
             --decodeLeft;
         } else {
@@ -638,7 +635,6 @@ Cell::tickSequencer(Cycle now, sim::Engine &engine)
         break;
 
       case SeqState::Run: {
-        ++statBusy;
         if (!stepControl(now)) {
             engine.noteProgress(); // control scan is progress
             break;
@@ -650,15 +646,10 @@ Cell::tickSequencer(Cycle now, sim::Engine &engine)
                 checkHazards(current->prog.decodedAt(pc), now);
             if (stall == StallCause::None) {
                 issueCompute(in, current->prog.decodedAt(pc), now);
-                if (traceHook) {
-                    traceHook(strfmt("%llu [%zu] %s",
-                                     (unsigned long long)now, pc,
-                                     isa::disasm(in).c_str()));
-                }
                 ++pc;
                 engine.noteProgress();
             } else {
-                emitStall(stall, now);
+                stallCharge = emitStall(stall, now);
             }
             break;
           }
@@ -712,7 +703,7 @@ Cell::tickSequencer(Cycle now, sim::Engine &engine)
                 }
             }
             if (write_in_flight) {
-                emitStall(StallCause::DstFull, now);
+                stallCharge = emitStall(StallCause::DstFull, now);
                 break;
             }
             switch (in.fifo) {
@@ -737,10 +728,6 @@ Cell::tickSequencer(Cycle now, sim::Engine &engine)
             break;
           }
           case Opcode::Halt:
-            if (traceHook) {
-                traceHook(strfmt("%llu halt",
-                                 (unsigned long long)now));
-            }
             if (tracer) {
                 tracer->emit(now, trace::EventKind::CallEnd, 0,
                              traceComp, callTrack, 0, 0);
@@ -755,6 +742,7 @@ Cell::tickSequencer(Cycle now, sim::Engine &engine)
         break;
       }
     }
+    clock.enter(charge, stallCharge, now);
 }
 
 void
@@ -770,19 +758,13 @@ Cell::tickAt(Cycle now, sim::Engine &engine)
         return;
     if (_faulted || now < hangUntil) {
         // Frozen: sequencer and writeback stand still, the queues keep
-        // accepting pushes from the host. Occupancy sampling continues
-        // so a faulted run's stats stay comparable.
-        ++statHangCycles;
-        _sum.sampleOccupancy();
-        _ret.sampleOccupancy();
-        _reby.sampleOccupancy();
+        // accepting pushes from the host (and their occupancy clocks
+        // keep running, so a faulted run's stats stay comparable).
+        clock.enter(&statHangCycles, nullptr, now);
         return;
     }
     drainWritebacks(now, engine);
     tickSequencer(now, engine);
-    _sum.sampleOccupancy();
-    _ret.sampleOccupancy();
-    _reby.sampleOccupancy();
 }
 
 Cycle
@@ -829,85 +811,35 @@ void
 Cell::fastForward(Cycle from, Cycle cycles, sim::Engine &engine)
 {
     (void)engine;
-    if (cycles == 0)
+    // Every replayed round repeats the quiescent round before the
+    // window, whose clock state carries across it: only the decode
+    // countdown and the traced per-cycle stall events need replaying.
+    if (_dead || _faulted || from < hangUntil)
         return;
-    if (_dead)
-        return;
-    if (_faulted || from < hangUntil) {
-        // The skip window cannot cross hangUntil (nextEventAt reports
-        // it), so every replayed round is a frozen one.
-        statHangCycles += cycles;
-        _sum.sampleOccupancy(cycles);
-        _ret.sampleOccupancy(cycles);
-        _reby.sampleOccupancy(cycles);
-        return;
-    }
-    // Replay what tick() did in the quiescent round being replicated:
-    // the sequencer's per-state busy/stall accounting (no drainable
-    // writebacks and no state change by construction of the skip
-    // window), then the per-cycle occupancy samples.
-    switch (state) {
-      case SeqState::Idle:
-        statIdle += cycles;
-        break;
-      case SeqState::ReadParams:
-        statBusy += cycles;
-        break;
-      case SeqState::PmuRespond:
-        statBusy += cycles;
-        statStallDst += cycles;
-        break;
-      case SeqState::Decode:
+    if (state == SeqState::Decode) {
         // The skip window never reaches the dispatch cycle.
-        statBusy += cycles;
         decodeLeft -= unsigned(cycles);
-        break;
-      case SeqState::Run: {
-        statBusy += cycles;
-        const isa::Instr &in = current->prog.at(pc);
-        StallCause stall;
-        if (in.op == Opcode::Compute) {
-            stall = checkHazards(current->prog.decodedAt(pc), from);
-        } else {
-            // Only a blocked ResetFifo can stall in Run state; every
-            // other non-Compute op always completes (= progress).
-            opac_assert(in.op == Opcode::ResetFifo,
-                        "%s: quiescent Run state at a non-stallable op "
-                        "(op=%u pc=%zu from=%llu cycles=%llu hang=%llu "
-                        "faulted=%d inflight=%zu tpi=%zu)",
-                        name().c_str(), unsigned(in.op), pc,
-                        (unsigned long long)from,
-                        (unsigned long long)cycles,
-                        (unsigned long long)hangUntil, int(_faulted),
-                        inflight.size(), _tpi.size());
-            stall = StallCause::DstFull;
-        }
-        trace::StallWhy why = trace::StallWhy::SrcEmpty;
-        switch (stall) {
-          case StallCause::None:
-            opac_panic("%s: quiescent Run state with no hazard",
-                       name().c_str());
-          case StallCause::SrcEmpty:
-            statStallSrc += cycles;
-            why = trace::StallWhy::SrcEmpty;
-            break;
-          case StallCause::DstFull:
-            statStallDst += cycles;
-            why = trace::StallWhy::DstFull;
-            break;
-          case StallCause::RegPending:
-            statStallReg += cycles;
-            why = trace::StallWhy::RegPending;
-            break;
-        }
+    } else if (tracer && state == SeqState::Run) {
+        // A quiescent Run round is a stall; the clock names its cause.
+        const stats::Counter *c = clock.second();
+        const trace::StallWhy why =
+            c == &statStallDst   ? trace::StallWhy::DstFull
+            : c == &statStallReg ? trace::StallWhy::RegPending
+                                 : trace::StallWhy::SrcEmpty;
         sim::replayStalls(tracer, from, cycles, why, traceComp,
                           std::uint32_t(pc));
-        break;
-      }
     }
-    _sum.sampleOccupancy(cycles);
-    _ret.sampleOccupancy(cycles);
-    _reby.sampleOccupancy(cycles);
+}
+
+void
+Cell::settle(Cycle now)
+{
+    if (_dead)
+        return;
+    clock.settle(now);
+    _sum.settle(now);
+    _ret.settle(now);
+    _reby.settle(now);
 }
 
 bool
@@ -948,14 +880,18 @@ Cell::hardReset(Cycle now)
         faultWhy = "hard fault";
     }
     ++statHardResets;
-    if (traceHook)
-        traceHook(strfmt("%llu hard-reset", (unsigned long long)now));
 }
 
 void
 Cell::markDead(Cycle now)
 {
     hardReset(now);
+    // This cell ticked last in the cycle before: credit its clocks
+    // through there and stop them. settle() leaves a dead cell alone,
+    // and a later reset of its queues credits nothing.
+    settle(now);
+    for (TimedFifo *q : {&_sum, &_ret, &_reby})
+        q->stopOccupancy();
     _dead = true;
     opac_warn_once("%s: marked dead at cycle %llu", name().c_str(),
                    (unsigned long long)now);
@@ -986,8 +922,6 @@ Cell::injectSpuriousHalt(Cycle now)
     if (tracer && state == SeqState::Run)
         tracer->emit(now, trace::EventKind::CallEnd, 0, traceComp,
                      callTrack, 0, 0);
-    if (traceHook)
-        traceHook(strfmt("%llu spurious-halt", (unsigned long long)now));
     state = SeqState::Idle;
     current = nullptr;
     paramsToRead = 0;
@@ -998,14 +932,12 @@ Cell::injectSpuriousHalt(Cycle now)
 void
 Cell::enterFaulted(const char *why, Cycle now)
 {
+    (void)now;
     if (_dead || _faulted)
         return;
     _faulted = true;
     faultWhy = why;
     ++statFaults;
-    if (traceHook)
-        traceHook(strfmt("%llu faulted (%s)", (unsigned long long)now,
-                         why));
 }
 
 void
@@ -1189,9 +1121,11 @@ Cell::loadState(snap::Reader &r, std::uint32_t version)
          {&_tpx, &_tpy, &_tpo, &_tpi, &_sum, &_ret, &_reby})
         q->loadState(r);
 
-    // Derived caches rebuild lazily against the restored state.
+    // Derived caches rebuild lazily against the restored state, and
+    // the clock restarts at the restored cycle (Engine::run settles).
     fastBodies.clear();
     burstBody = nullptr;
+    clock.stop();
 }
 
 std::string

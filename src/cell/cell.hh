@@ -34,7 +34,6 @@
 #define OPAC_CELL_CELL_HH
 
 #include <array>
-#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -155,6 +154,13 @@ class Cell : public sim::Component
                      sim::Engine &engine) override;
 
     /**
+     * Credit the busy/idle/stall/hang clock and the sum, ret and reby
+     * occupancy through @p now - 1. A dead cell's clocks stopped at
+     * the cycle it was marked dead.
+     */
+    void settle(Cycle now) override;
+
+    /**
      * Superop fast tier (src/cell/fast_tier.cc): when the sequencer
      * is streaming the body of an innermost hardware loop that only
      * touches local state (sum/ret/reby, registers — never
@@ -203,14 +209,6 @@ class Cell : public sim::Component
 
     /** The cell's statistics subtree. */
     stats::StatGroup &stats() { return statGroup; }
-
-    /**
-     * Install a cycle-trace hook: one line per sequencer event (call
-     * dispatch, instruction issue, halt), formatted
-     * "<cycle> <event>". Pass nullptr to disable. Tracing is off by
-     * default and costs nothing when disabled.
-     */
-    void setTraceHook(std::function<void(const std::string &)> hook);
 
     /**
      * Start emitting structured trace events (issue/retire/stall,
@@ -306,7 +304,7 @@ class Cell : public sim::Component
     StallCause checkHazards(const isa::DecodedInstr &d, Cycle now) const;
     void issueCompute(const isa::Instr &in, const isa::DecodedInstr &d,
                       Cycle now);
-    void emitStall(StallCause cause, Cycle now);
+    stats::Counter *emitStall(StallCause cause, Cycle now);
     void scheduleWrite(Cycle when, Word value, std::uint8_t mask,
                        std::uint8_t dst_reg, Cycle now);
     void drainWritebacks(Cycle now, sim::Engine &engine);
@@ -420,13 +418,16 @@ class Cell : public sim::Component
      */
     Cycle wbReadyAt = sim::Component::noEvent;
 
-    std::function<void(const std::string &)> traceHook;
-
     trace::Tracer *tracer = nullptr;
     std::uint16_t traceComp = 0;
     std::uint16_t callTrack = 0; //!< track of the running kernel's name
 
     // -- statistics -------------------------------------------------------
+    /**
+     * Charges every live cycle to busy (plus a stall cause), idle or
+     * hang, and cycles that pop a PMU or junk call word to none.
+     */
+    stats::StateClock clock;
     stats::StatGroup statGroup;
     stats::Counter statIssued;
     stats::Counter statFma;

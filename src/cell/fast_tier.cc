@@ -25,8 +25,11 @@
  *    conditions for the rest of the window to be dense (full FP
  *    pipeline landing one result per cycle, both queues streamable,
  *    no stall possible), executes each cycle as two ring rotations
- *    plus the FP ops, settling every counter, watermark and occupancy
- *    sample in bulk afterwards. This is where the speedup comes from;
+ *    plus the FP ops, settling the issue and queue-traffic counters
+ *    and the watermark in bulk afterwards. Every cycle of the window
+ *    is busy, so the cell's clock enters the busy state once; the
+ *    queue levels hold still, so occupancy needs nothing. This is
+ *    where the speedup comes from;
  *  - otherwise the cycle is the interpreter's own (tickAt, the body
  *    of tick()): no copy of the sequencer lives here. Such cycles fill
  *    the FP pipeline inside a window until turbo can take over, and
@@ -196,6 +199,7 @@ Cell::turboRun(Cycle from, Cycle cycles, sim::Engine &engine)
         return 0;
 
     const std::uint64_t w = cycles;
+    clock.enter(&statBusy, nullptr, from);
     // No register write is in flight (every entry's dstMask is the
     // queue bit), so the scalar operand is constant over the window.
     const Word bval = readOperand(b->turboMulB, from, 0);
@@ -218,12 +222,8 @@ Cell::turboRun(Cycle from, Cycle cycles, sim::Engine &engine)
     }
 
     // Settle everything the per-cycle path would have left behind.
-    // Every queue's occupancy was invariant over the window.
     popq->streamCommit(w, true);
     rotq->streamCommit(w, false);
-    _sum.sampleOccupancy(w);
-    _ret.sampleOccupancy(w);
-    _reby.sampleOccupancy(w);
     if (token)
         fpu->countBulk(w);
     for (unsigned j = 0; j < depth; ++j) {
@@ -235,7 +235,6 @@ Cell::turboRun(Cycle from, Cycle cycles, sim::Engine &engine)
     LoopFrame &f = loopStack.back();
     f.remaining -= std::uint32_t(wraps);
     pc = b->endPc;
-    statBusy += w;
     statFma += w;
     statIssued += w;
     statFtTurboCycles += w;
@@ -251,7 +250,7 @@ Cell::burstQuantum(Cycle now)
     if (_dead || _faulted || now < hangUntil
         || state != SeqState::Run || loopStack.empty())
         return 0;
-    if (tracer || traceHook) {
+    if (tracer) {
         // Observers need the per-cycle event edges of the interpreter.
         ++statFtFallbackObserver;
         return 0;

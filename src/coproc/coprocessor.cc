@@ -8,6 +8,18 @@
 namespace opac::copro
 {
 
+namespace
+{
+
+/**
+ * Layout of the "stats" snapshot section (StatGroup::saveState). 2:
+ * each group holds counters, watermarks, distributions and quantiles
+ * (version 1 also carried averages and histograms).
+ */
+constexpr std::uint32_t kStatsVersion = 2;
+
+} // anonymous namespace
+
 Coprocessor::Coprocessor(const CoprocConfig &cfg)
     : cfg(cfg), statRoot("system"), mem(cfg.memoryWords),
       eng(cfg.watchdogCycles, &statRoot)
@@ -261,7 +273,7 @@ Coprocessor::takeSnapshot() const
     {
         snap::Writer w;
         statRoot.saveState(w);
-        s.add("stats", 1, w.take());
+        s.add("stats", kStatsVersion, w.take());
     }
     {
         snap::Writer w;
@@ -295,7 +307,11 @@ Coprocessor::restoreSnapshot(const snap::Snapshot &s)
     load("engine", [this](snap::Reader &r, std::uint32_t) {
         eng.loadState(r);
     });
-    load("stats", [this](snap::Reader &r, std::uint32_t) {
+    load("stats", [this](snap::Reader &r, std::uint32_t version) {
+        if (version != kStatsVersion)
+            r.fail(strfmt("stats section version %u, this build reads "
+                          "only %u",
+                          version, kStatsVersion));
         statRoot.loadState(r);
     });
     load("memory", [this](snap::Reader &r, std::uint32_t) {

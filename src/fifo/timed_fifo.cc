@@ -31,6 +31,7 @@ TimedFifo::push(Word w, Cycle now)
 {
     opac_assert(space() > 0, "push on full FIFO '%s' (cap %zu)",
                 _name.c_str(), _capacity);
+    creditLevel(now);
     ring[(head + count) & mask] = Entry{w, now + latency, encodeWord(w)};
     ++count;
     ++pushes;
@@ -56,6 +57,7 @@ TimedFifo::pushReserved(Word w, Cycle now)
     opac_assert(_reserved > 0, "pushReserved without reservation on '%s'",
                 _name.c_str());
     --_reserved;
+    creditLevel(now);
     ring[(head + count) & mask] = Entry{w, now + latency, encodeWord(w)};
     ++count;
     ++pushes;
@@ -76,6 +78,7 @@ TimedFifo::pop(Cycle now)
     Word w = ring[head].word;
     if (parityMode != fault::ParityMode::Off)
         w = checkProtected(w, ring[head].ecc, now);
+    creditLevel(now);
     head = (head + 1) & mask;
     --count;
     ++pops;
@@ -128,6 +131,7 @@ void
 TimedFifo::reset(Cycle now)
 {
     std::size_t dropped = count;
+    creditLevel(now);
     head = 0;
     count = 0;
     _reserved = 0;
@@ -254,6 +258,9 @@ TimedFifo::loadState(snap::Reader &r)
     _reserved = res;
     pendingCorrupt = r.u32();
     pendingReorder = r.b();
+    // The restored level was not held before the restored cycle: the
+    // owner's next settle() restarts the clock there.
+    stopOccupancy();
 }
 
 void

@@ -15,7 +15,11 @@
  *    guaranteed space — the mechanism that lets issue logic treat
  *    "destination full" as an issue-time hazard,
  *  - reset (the paper's "Reset of FIFO queue reby"),
- *  - occupancy and traffic statistics.
+ *  - occupancy and traffic statistics. Occupancy is a distribution
+ *    over cycles of the words held: each level is credited with the
+ *    cycles it held when the count next changes or the queue is
+ *    settled, so a level held for zero cycles (several changes in one
+ *    cycle) touches neither min nor max.
  */
 
 #ifndef OPAC_FIFO_TIMED_FIFO_HH
@@ -115,18 +119,26 @@ class TimedFifo
     /** Read the front word without popping; requires canPop(now). */
     Word front(Cycle now) const;
 
-    /**
-     * Discard all contents and reservations (the RESET control line).
-     * @p now is only used to timestamp the trace event.
-     */
-    void reset(Cycle now = 0);
+    /** Discard all contents and reservations (the RESET control line). */
+    void reset(Cycle now);
 
-    /** Record @p n identical occupancy samples (typically 1/cycle). */
+    /**
+     * Credit the occupancy level held before cycle @p now, and start
+     * the level clock at @p now if it is stopped. Only queues whose
+     * owner settles them are sampled: the clock is stopped after
+     * construction, loadState() and stopOccupancy(), and
+     * push/pop/reset credit a running clock only.
+     */
     void
-    sampleOccupancy(std::uint64_t n = 1)
+    settle(Cycle now)
     {
-        occupancy.sample(double(count), n);
+        creditLevel(now);
+        if (levelSince == cycleNever)
+            levelSince = now;
     }
+
+    /** Stop the level clock until the next settle(). */
+    void stopOccupancy() { levelSince = cycleNever; }
 
     // --- superop fast-tier streaming (src/cell/fast_tier.cc) -------
 
@@ -304,6 +316,17 @@ class TimedFifo
     /** Apply armed corrupt/reorder faults to freshly pushed words. */
     void applyPendingFaults(Cycle now);
 
+    /** Credit the current level with the cycles it held before @p now,
+     *  if the level clock runs; called before every change of count. */
+    void
+    creditLevel(Cycle now)
+    {
+        if (now > levelSince) {
+            occupancy.sample(double(count), now - levelSince);
+            levelSince = now;
+        }
+    }
+
     std::string _name;
     std::size_t _capacity;
     unsigned latency;
@@ -316,6 +339,8 @@ class TimedFifo
     std::size_t mask = 0;  //!< ring.size() - 1
     std::size_t head = 0;  //!< index of the front entry
     std::size_t count = 0; //!< entries stored
+    /** Cycle the current level was first held; cycleNever: stopped. */
+    Cycle levelSince = cycleNever;
 
     trace::Tracer *tracer = nullptr;
     std::uint16_t traceComp = 0;

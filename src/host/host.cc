@@ -298,7 +298,6 @@ Host::tickSend(const HostOp &op, Cycle now)
         TimedFifo &q = op.target == SendTarget::TpX ? cells[c]->tpx()
                                                     : cells[c]->tpy();
         if (!q.canPush()) {
-            ++statStallFull;
             if (tracer) {
                 tracer->emit(now, trace::EventKind::Stall,
                              std::uint8_t(trace::StallWhy::BusFull),
@@ -333,7 +332,6 @@ Host::tickRecv(const HostOp &op, Cycle now)
         ++cell_idx;
     TimedFifo &q = cells[cell_idx]->tpo();
     if (!q.canPop(now)) {
-        ++statStallEmpty;
         if (tracer) {
             tracer->emit(now, trace::EventKind::Stall,
                          std::uint8_t(trace::StallWhy::BusEmpty),
@@ -359,7 +357,6 @@ Host::tickCall(const HostOp &op, Cycle now)
         if (!(op.cellMask & (1u << c)))
             continue;
         if (!cells[c]->tpi().canPush()) {
-            ++statStallFull;
             if (tracer) {
                 tracer->emit(now, trace::EventKind::Stall,
                              std::uint8_t(trace::StallWhy::BusFull),
@@ -578,14 +575,30 @@ Host::forceRecovery(sim::Engine &engine)
     return true;
 }
 
+stats::Counter *
+Host::stallCounter(const HostOp &op)
+{
+    switch (op.kind) {
+      case HostOp::Kind::Send:
+      case HostOp::Kind::Call:
+        return &statStallFull;
+      case HostOp::Kind::Recv:
+        return &statStallEmpty;
+      default:
+        return nullptr;
+    }
+}
+
 void
 Host::tick(sim::Engine &engine)
 {
-    if (program.empty())
-        return;
-    ++statBusy;
     Cycle now = engine.now();
+    if (program.empty()) {
+        clock.enter(nullptr, nullptr, now);
+        return;
+    }
     if (inTxn && (parityTripped || now >= txnDeadline)) {
+        clock.enter(&statBusy, nullptr, now);
         if (!parityTripped)
             ++statTimeouts;
         recoverTxn(now, engine);
@@ -594,6 +607,7 @@ Host::tick(sim::Engine &engine)
     if (cooldown > 0) {
         // A pure countdown is not forward progress: it is fully
         // predictable (see nextEventAt), so the engine may skip it.
+        clock.enter(&statBusy, nullptr, now);
         --cooldown;
         return;
     }
@@ -648,12 +662,15 @@ Host::tick(sim::Engine &engine)
     }
     // A Compute countdown cycle is not progress (it is predictable and
     // skippable, like the cooldown above); moving a word or finishing
-    // a descriptor is.
-    if (pos != prev_pos || finished)
+    // a descriptor is. A Send, Recv or Call that did neither was
+    // blocked on a cell queue: a stall.
+    const bool moved = pos != prev_pos || finished;
+    clock.enter(&statBusy, moved ? nullptr : stallCounter(op), now);
+    if (moved)
         engine.noteProgress();
     // Word movement proves the machine is alive: push the transaction
     // deadline out rather than racing a stalled-from-the-start clock.
-    if (inTxn && (pos != prev_pos || finished))
+    if (inTxn && moved)
         txnDeadline = now + txnTimeout;
     if (finished) {
         if (tracer) {
@@ -740,24 +757,25 @@ void
 Host::fastForward(Cycle from, Cycle cycles, sim::Engine &engine)
 {
     (void)engine;
-    if (program.empty() || cycles == 0)
+    if (program.empty())
         return;
-    statBusy += cycles;
     if (cooldown > 0) {
         // The skip window never extends past the cooldown expiry.
         cooldown -= unsigned(cycles);
         return;
     }
+    // The round before the window may have been the busy one in which
+    // the cooldown ran out; every window round retries the op, so the
+    // state is the op's own: a stall for a blocked transfer.
     const HostOp &op = program.front();
+    clock.enter(&statBusy, stallCounter(op), from);
     switch (op.kind) {
       case HostOp::Kind::Send:
       case HostOp::Kind::Call:
-        statStallFull += cycles;
         sim::replayStalls(tracer, from, cycles, trace::StallWhy::BusFull,
                           traceComp, std::uint32_t(pos));
         break;
       case HostOp::Kind::Recv:
-        statStallEmpty += cycles;
         sim::replayStalls(tracer, from, cycles,
                           trace::StallWhy::BusEmpty, traceComp,
                           std::uint32_t(pos));
@@ -980,6 +998,8 @@ Host::loadState(snap::Reader &r, std::uint32_t version)
     }
     memSpike = r.u32();
     opAnnounced = r.b();
+    // The clock restarts at the restored cycle (Engine::run settles).
+    clock.stop();
 }
 
 std::string

@@ -173,6 +173,9 @@ class Host : public sim::Component
     void fastForward(Cycle from, Cycle cycles,
                      sim::Engine &engine) override;
 
+    /** Credit the busy and stall clock through @p now - 1. */
+    void settle(Cycle now) override { clock.settle(now); }
+
     std::uint64_t wordsSent() const { return statWordsSent.value(); }
     std::uint64_t wordsReceived() const { return statWordsRecv.value(); }
     std::uint64_t callWordsSent() const { return statCallWords.value(); }
@@ -266,6 +269,10 @@ class Host : public sim::Component
     /** Push @p w to @p q, applying armed drop/dup faults for cell @p c. */
     void pushFaulty(TimedFifo &q, unsigned c, Word w, Cycle now);
 
+    /** The stall counter a cycle blocked on @p op is charged to
+     *  (Send/Call: queue full, Recv: tpo empty; others never block). */
+    stats::Counter *stallCounter(const HostOp &op);
+
     HostConfig cfg;
     HostMemory &mem;
     std::vector<cell::Cell *> cells;
@@ -302,6 +309,9 @@ class Host : public sim::Component
     std::uint16_t opTrack(const HostOp &op);
     void traceWord(Cycle now, unsigned cost);
 
+    /** Charges each cycle with program left to busy, plus the stall
+     *  cause while a transfer is blocked. */
+    stats::StateClock clock;
     stats::StatGroup statGroup;
     stats::Counter statWordsSent;
     stats::Counter statWordsRecv;

@@ -60,6 +60,13 @@ Engine::allDone() const
     return true;
 }
 
+void
+Engine::settle()
+{
+    for (Component *c : components)
+        c->settle(cycle);
+}
+
 std::string
 Engine::statusDump() const
 {
@@ -237,6 +244,15 @@ Engine::run(Cycle max_cycles)
     const bool skip = _mode == EngineMode::Skip;
     const unsigned n = static_cast<unsigned>(components.size());
     Cycle start = cycle;
+    // Time statistics are exact at every exit, thrown ones included:
+    // the serve shards catch a DeadlockError or RecoveryError, may
+    // checkpoint the machine, and run it again.
+    settle();
+    struct SettleOnExit
+    {
+        Engine &engine;
+        ~SettleOnExit() { engine.settle(); }
+    } settle_on_exit{*this};
     // The watchdog and the skip hysteresis both derive from engine
     // time (cycles since the last round that made progress), not from
     // tick-loop iterations, so both run modes count idleness the

@@ -22,16 +22,23 @@
  *          reported progress, the engine asks every component for the
  *          earliest future cycle at which it could act on its own
  *          (nextEventAt) and jumps the clock to the minimum hint;
- *          components replay the per-cycle side effects of the
- *          skipped quiescent rounds in fastForward (stall counters,
- *          occupancy samples, per-cycle stall trace events). A
- *          component that cannot predict its wake-up returns `now`
- *          (the default), which disables skipping while it is live;
+ *          components replay what the skipped quiescent rounds would
+ *          have changed besides time in a state, in fastForward
+ *          (countdowns, per-cycle stall trace events). A component
+ *          that cannot predict its wake-up returns `now` (the
+ *          default), which disables skipping while it is live;
  *          `noEvent` means it only ever reacts to other components.
  *          With the fast tier on and no tracer attached, Skip also
  *          hands a streaming component a multi-cycle burst quantum
  *          while every other component is provably passive
  *          (burstQuantum / burstRun).
+ *
+ * Time statistics — busy, idle, stall and hang cycles, FIFO occupancy
+ * — are credited when a component's state changes, not per tick
+ * (stats::StateClock), so a skipped or burst window costs them
+ * nothing. They are exact after Component::settle(): at every run()
+ * exit (so in every snapshot, which is taken between runs), at each
+ * sampler boundary and in a PMU readback.
  */
 
 #ifndef OPAC_SIM_ENGINE_HH
@@ -105,16 +112,17 @@ class Component
     virtual Cycle nextEventAt(Cycle now) const { return now; }
 
     /**
-     * Replay the per-cycle side effects of @p cycles quiescent tick
-     * rounds starting at cycle @p from: everything tick() would have
-     * done in each of those rounds given that none of them can make
-     * progress (stall/busy counters, occupancy samples, per-cycle
-     * stall trace events, countdown decrements). The engine
+     * Replay @p cycles quiescent tick rounds starting at cycle
+     * @p from: whatever tick() would have changed in each of those
+     * rounds given that none of them can make progress — countdown
+     * decrements and per-cycle stall trace events. The engine
      * guarantees from + cycles <= the minimum nextEventAt hint, so
      * every replayed round is an exact replica of the quiescent round
-     * that preceded the jump. When a tracer is attached the engine
-     * calls this once per skipped cycle (cycles == 1, cycle-major
-     * across components) so trace event order is preserved exactly.
+     * that preceded the jump, and time statistics need no replay: the
+     * state that round entered carries across the window (see
+     * settle()). When a tracer is attached the engine calls this once
+     * per skipped cycle (cycles == 1, cycle-major across components)
+     * so trace event order is preserved exactly.
      */
     virtual void fastForward(Cycle from, Cycle cycles, Engine &engine)
     {
@@ -161,6 +169,17 @@ class Component
         (void)engine;
         (void)progress_bits;
     }
+
+    /**
+     * Credit every time statistic through cycle @p now - 1. A tick
+     * charges its cycle by entering a state (stats::StateClock), and
+     * the state's cycles are added up when it changes; settle() adds
+     * them up without a change. Engine::run() settles every component
+     * at entry, which also starts the clocks after construction or a
+     * snapshot restore, and at every exit, thrown ones included; the
+     * stats sampler settles before each snapshot (Engine::settle()).
+     */
+    virtual void settle(Cycle now) { (void)now; }
 
     /** One-line state description, used in deadlock reports. */
     virtual std::string statusLine() const { return "(no status)"; }
@@ -275,6 +294,9 @@ class Engine
 
     /** True when every registered component is done. */
     bool allDone() const;
+
+    /** Settle every component at the current cycle (Component::settle). */
+    void settle();
 
     /**
      * Status dump of every component (used in error reports). When a

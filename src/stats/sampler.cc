@@ -17,8 +17,12 @@ Sampler::Sampler(std::string name, const StatGroup &root, Cycle interval)
 void
 Sampler::tick(sim::Engine &engine)
 {
-    if (engine.now() % _interval == 0)
+    if (engine.now() % _interval == 0) {
+        // Time statistics are credited when states change; bring them
+        // up to the boundary first.
+        engine.settle();
         snapshot(engine.now());
+    }
 }
 
 void

@@ -10,20 +10,6 @@ namespace opac::stats
 {
 
 void
-Average::sample(double v, std::uint64_t weight)
-{
-    _sum += v * double(weight);
-    _weight += weight;
-}
-
-void
-Average::reset()
-{
-    _sum = 0.0;
-    _weight = 0;
-}
-
-void
 Distribution::sample(double v)
 {
     if (_count == 0) {
@@ -56,73 +42,6 @@ Distribution::reset()
 {
     _count = 0;
     _sum = _min = _max = 0.0;
-}
-
-namespace
-{
-
-unsigned
-pow2Bucket(std::uint64_t v)
-{
-    if (v == 0)
-        return 0;
-    unsigned b = 1;
-    while (v > 1) {
-        v >>= 1;
-        ++b;
-    }
-    return b;
-}
-
-std::string
-pow2BucketLabel(unsigned i)
-{
-    if (i == 0)
-        return "0";
-    std::uint64_t lo = std::uint64_t(1) << (i - 1);
-    std::uint64_t hi = (std::uint64_t(1) << i) - 1;
-    return lo == hi
-        ? strfmt("%llu", (unsigned long long)lo)
-        : strfmt("%llu-%llu", (unsigned long long)lo,
-                 (unsigned long long)hi);
-}
-
-} // anonymous namespace
-
-void
-Histogram::sample(std::uint64_t v)
-{
-    unsigned b = pow2Bucket(v);
-    if (_buckets.size() <= b)
-        _buckets.resize(b + 1, 0);
-    ++_buckets[b];
-    ++_count;
-    _max = std::max(_max, v);
-    _sum += double(v);
-}
-
-std::string
-Histogram::render() const
-{
-    std::string out;
-    for (std::size_t i = 0; i < _buckets.size(); ++i) {
-        if (_buckets[i] == 0)
-            continue;
-        if (!out.empty())
-            out += " ";
-        out += strfmt("%s:%llu", pow2BucketLabel(unsigned(i)).c_str(),
-                      (unsigned long long)_buckets[i]);
-    }
-    return out;
-}
-
-void
-Histogram::reset()
-{
-    _buckets.clear();
-    _count = 0;
-    _max = 0;
-    _sum = 0.0;
 }
 
 void
@@ -222,27 +141,11 @@ StatGroup::addWatermark(const std::string &name, Watermark *w,
 }
 
 void
-StatGroup::addAverage(const std::string &name, Average *a,
-                      const std::string &desc)
-{
-    opac_assert(a != nullptr, "null average '%s'", name.c_str());
-    averages[name] = AverageEntry{a, desc};
-}
-
-void
 StatGroup::addDistribution(const std::string &name, Distribution *d,
                            const std::string &desc)
 {
     opac_assert(d != nullptr, "null distribution '%s'", name.c_str());
     dists[name] = DistEntry{d, desc};
-}
-
-void
-StatGroup::addHistogram(const std::string &name, Histogram *h,
-                        const std::string &desc)
-{
-    opac_assert(h != nullptr, "null histogram '%s'", name.c_str());
-    hists[name] = HistEntry{h, desc};
 }
 
 void
@@ -281,20 +184,11 @@ StatGroup::dump(std::string &out, const std::string &prefix) const
         line(n, strfmt("%llu", (unsigned long long)e.mark->value()),
              e.desc);
     }
-    for (const auto &[n, e] : averages)
-        line(n, strfmt("%.4f", e.avg->mean()), e.desc);
     for (const auto &[n, e] : dists) {
         out += strfmt("%-48s min=%.2f max=%.2f mean=%.2f n=%llu",
                       (base + "." + n).c_str(), e.dist->min(),
                       e.dist->max(), e.dist->mean(),
                       static_cast<unsigned long long>(e.dist->count()));
-        if (!e.desc.empty())
-            out += "  # " + e.desc;
-        out += "\n";
-    }
-    for (const auto &[n, e] : hists) {
-        out += strfmt("%-48s %s", (base + "." + n).c_str(),
-                      e.hist->render().c_str());
         if (!e.desc.empty())
             out += "  # " + e.desc;
         out += "\n";
@@ -333,26 +227,11 @@ StatGroup::jsonMembers(std::string &out, const std::string &prefix,
     }
     for (const auto &[n, e] : watermarks)
         member(n, strfmt("%llu", (unsigned long long)e.mark->value()));
-    for (const auto &[n, e] : averages)
-        member(n, strfmt("%.9g", e.avg->mean()));
     for (const auto &[n, e] : dists) {
         member(n, strfmt("{\"min\": %.9g, \"max\": %.9g, "
                          "\"mean\": %.9g, \"count\": %llu}",
                          e.dist->min(), e.dist->max(), e.dist->mean(),
                          (unsigned long long)e.dist->count()));
-    }
-    for (const auto &[n, e] : hists) {
-        std::string buckets;
-        for (auto b : e.hist->buckets()) {
-            if (!buckets.empty())
-                buckets += ", ";
-            buckets += strfmt("%llu", (unsigned long long)b);
-        }
-        member(n, strfmt("{\"count\": %llu, \"max\": %llu, "
-                         "\"mean\": %.9g, \"buckets\": [%s]}",
-                         (unsigned long long)e.hist->count(),
-                         (unsigned long long)e.hist->max(),
-                         e.hist->mean(), buckets.c_str()));
     }
     for (const auto &[n, e] : quants) {
         member(n, strfmt("{\"count\": %llu, \"min\": %.9g, "
@@ -386,12 +265,8 @@ StatGroup::resetAll()
         e.counter->reset();
     for (auto &[n, e] : watermarks)
         e.mark->reset();
-    for (auto &[n, e] : averages)
-        e.avg->reset();
     for (auto &[n, e] : dists)
         e.dist->reset();
-    for (auto &[n, e] : hists)
-        e.hist->reset();
     for (auto &[n, e] : quants)
         e.quant->reset();
     for (auto *c : children)
@@ -428,8 +303,6 @@ StatGroup::scalarValue(const std::string &path) const
         return double(it->second.counter->value());
     if (auto it = watermarks.find(path); it != watermarks.end())
         return double(it->second.mark->value());
-    if (auto it = averages.find(path); it != averages.end())
-        return it->second.avg->mean();
     if (auto it = formulas.find(path); it != formulas.end())
         return it->second.formula->value();
 
@@ -468,8 +341,6 @@ StatGroup::forEachScalar(
         fn(base + "." + n, double(e.counter->value()));
     for (const auto &[n, e] : watermarks)
         fn(base + "." + n, double(e.mark->value()));
-    for (const auto &[n, e] : averages)
-        fn(base + "." + n, e.avg->mean());
     for (const auto &[n, e] : formulas)
         fn(base + "." + n, e.formula->value());
     for (const auto *c : children)
@@ -515,20 +386,6 @@ Watermark::loadState(snap::Reader &r)
 }
 
 void
-Average::saveState(snap::Writer &w) const
-{
-    w.f64(_sum);
-    w.u64(_weight);
-}
-
-void
-Average::loadState(snap::Reader &r)
-{
-    _sum = r.f64();
-    _weight = r.u64();
-}
-
-void
 Distribution::saveState(snap::Writer &w) const
 {
     w.u64(_count);
@@ -544,28 +401,6 @@ Distribution::loadState(snap::Reader &r)
     _sum = r.f64();
     _min = r.f64();
     _max = r.f64();
-}
-
-void
-Histogram::saveState(snap::Writer &w) const
-{
-    w.u32(static_cast<std::uint32_t>(_buckets.size()));
-    for (std::uint64_t b : _buckets)
-        w.u64(b);
-    w.u64(_count);
-    w.u64(_max);
-    w.f64(_sum);
-}
-
-void
-Histogram::loadState(snap::Reader &r)
-{
-    _buckets.assign(r.u32(), 0);
-    for (std::uint64_t &b : _buckets)
-        b = r.u64();
-    _count = r.u64();
-    _max = r.u64();
-    _sum = r.f64();
 }
 
 void
@@ -605,9 +440,7 @@ StatGroup::saveState(snap::Writer &w) const
     };
     kind(counters, &CounterEntry::counter);
     kind(watermarks, &WatermarkEntry::mark);
-    kind(averages, &AverageEntry::avg);
     kind(dists, &DistEntry::dist);
-    kind(hists, &HistEntry::hist);
     kind(quants, &QuantileEntry::quant);
     w.u32(static_cast<std::uint32_t>(children.size()));
     for (const StatGroup *c : children)
@@ -640,9 +473,7 @@ StatGroup::loadState(snap::Reader &r)
     };
     kind(counters, &CounterEntry::counter, "counter");
     kind(watermarks, &WatermarkEntry::mark, "watermark");
-    kind(averages, &AverageEntry::avg, "average");
     kind(dists, &DistEntry::dist, "distribution");
-    kind(hists, &HistEntry::hist, "histogram");
     kind(quants, &QuantileEntry::quant, "quantile");
     std::uint32_t nchild = r.u32();
     if (nchild != children.size())

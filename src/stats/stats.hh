@@ -11,11 +11,15 @@
  * registry holds:
  *
  *  - Watermark:    max-tracking gauge (FIFO high-water marks),
- *  - Average:      weighted running average (cycle-weighted residency),
- *  - Distribution: running min/max/mean over samples,
- *  - Histogram:    power-of-two bucketed sample counts,
+ *  - Distribution: running min/max/mean over samples (FIFO occupancy,
+ *                  credited as level x cycles held),
+ *  - Quantile:     exact percentiles over request-grain samples,
  *  - Formula:      derived value computed on demand from other stats
  *                  (MA/cycle, bus words per flop).
+ *
+ * Time in a state (busy, idle, stall and hang cycles) is a Counter fed
+ * by a StateClock, which credits a state's cycles when the state
+ * changes or the clock is settled rather than on every tick.
  *
  * The tree renders as text ("name value # desc" lines) or as a flat
  * JSON object keyed by qualified name, and every scalar-valued stat can
@@ -30,6 +34,8 @@
 #include <map>
 #include <string>
 #include <vector>
+
+#include "common/types.hh"
 
 namespace opac::snap
 {
@@ -75,22 +81,58 @@ class Watermark
     std::uint64_t _max = 0;
 };
 
-/** Weighted running average (weights typically in cycles). */
-class Average
+/**
+ * Time in a state, charged to counters. A state is up to two counters
+ * (busy plus one stall cause, say; none charges nothing). A tick
+ * enter()s the state it spends its cycle in; the cycles of a stay are
+ * credited in one addition when the state changes or when the clock is
+ * settled, so holding a state costs two pointer compares per tick.
+ *
+ * A clock is stopped after construction and after stop(): it credits
+ * nothing until settle() (or a change of state) starts it at a cycle.
+ * Time never runs backwards: crediting through a cycle already
+ * credited (a PMU readback settles through the current cycle) is a
+ * no-op.
+ */
+class StateClock
 {
   public:
-    void sample(double v, std::uint64_t weight = 1);
+    /** Spend the cycles from @p now on in state {@p a, @p b}. */
+    void
+    enter(Counter *a, Counter *b, Cycle now)
+    {
+        if (a != _a || b != _b) {
+            settle(now);
+            _a = a;
+            _b = b;
+        }
+    }
 
-    std::uint64_t weight() const { return _weight; }
-    double mean() const { return _weight ? _sum / double(_weight) : 0.0; }
-    void reset();
+    /** Credit the current state's cycles before @p now. */
+    void
+    settle(Cycle now)
+    {
+        if (now > since) {
+            if (_a)
+                *_a += now - since;
+            if (_b)
+                *_b += now - since;
+            since = now;
+        } else if (since == cycleNever) {
+            since = now;
+        }
+    }
 
-    void saveState(snap::Writer &w) const;
-    void loadState(snap::Reader &r);
+    /** Stop crediting until the next settle() (state restored). */
+    void stop() { since = cycleNever; }
+
+    /** The second counter of the current state (the stall cause). */
+    const Counter *second() const { return _b; }
 
   private:
-    double _sum = 0.0;
-    std::uint64_t _weight = 0;
+    Counter *_a = nullptr;
+    Counter *_b = nullptr;
+    Cycle since = cycleNever;
 };
 
 /** Running min/max/mean over sampled values (e.g. FIFO occupancy). */
@@ -103,7 +145,7 @@ class Distribution
      * Record @p v as @p n identical samples in one call. Equivalent to
      * n repeated sample(v) calls whenever v * n is exact in double
      * (always true for the integer-valued occupancy samples this is
-     * used for); used to bulk-credit skipped quiescent cycles.
+     * used for: a FIFO credits each level with the cycles it held).
      */
     void sample(double v, std::uint64_t n);
 
@@ -124,35 +166,6 @@ class Distribution
 };
 
 /**
- * Power-of-two bucketed histogram over unsigned samples: bucket 0 holds
- * value 0, bucket i >= 1 holds values in [2^(i-1), 2^i).
- */
-class Histogram
-{
-  public:
-    void sample(std::uint64_t v);
-
-    std::uint64_t count() const { return _count; }
-    std::uint64_t max() const { return _max; }
-    double mean() const { return _count ? _sum / double(_count) : 0.0; }
-    const std::vector<std::uint64_t> &buckets() const { return _buckets; }
-
-    /** "0:12 1:3 4-7:9"-style rendering of the non-empty buckets. */
-    std::string render() const;
-
-    void reset();
-
-    void saveState(snap::Writer &w) const;
-    void loadState(snap::Reader &r);
-
-  private:
-    std::vector<std::uint64_t> _buckets;
-    std::uint64_t _count = 0;
-    std::uint64_t _max = 0;
-    double _sum = 0.0;
-};
-
-/**
  * Exact percentile tracker over sampled values — the SLO stat kind
  * (serve-layer latency / queue-wait quantiles, docs/OBSERVABILITY.md).
  *
@@ -162,7 +175,7 @@ class Histogram
  * they are bit-identical across engine modes because the sample
  * stream is. Memory is one double per sample; intended for
  * request-grain series (thousands of samples), not per-cycle ones —
- * use Histogram for those.
+ * use a Distribution for those.
  */
 class Quantile
 {
@@ -237,15 +250,9 @@ class StatGroup
     /** Register a high-water gauge. */
     void addWatermark(const std::string &name, Watermark *w,
                       const std::string &desc = "");
-    /** Register a weighted average. */
-    void addAverage(const std::string &name, Average *a,
-                    const std::string &desc = "");
     /** Register a distribution. */
     void addDistribution(const std::string &name, Distribution *d,
                          const std::string &desc = "");
-    /** Register a histogram. */
-    void addHistogram(const std::string &name, Histogram *h,
-                      const std::string &desc = "");
     /** Register an exact percentile tracker. */
     void addQuantile(const std::string &name, Quantile *q,
                      const std::string &desc = "");
@@ -260,9 +267,9 @@ class StatGroup
 
     /**
      * Flat JSON object for this subtree: scalar stats (counters,
-     * watermarks, averages, formulas) as numbers keyed by qualified
-     * name, distributions as {min,max,mean,count} objects, histograms
-     * as {count,max,mean,buckets} objects.
+     * watermarks, formulas) as numbers keyed by qualified name,
+     * distributions as {min,max,mean,count} objects, quantiles as
+     * {count,min,max,mean,p50,p95,p99} objects.
      */
     std::string json() const;
 
@@ -274,8 +281,8 @@ class StatGroup
     std::uint64_t counterValue(const std::string &path) const;
 
     /**
-     * Look up any scalar-valued stat (counter, watermark, average or
-     * formula) by path relative to this group.
+     * Look up any scalar-valued stat (counter, watermark or formula) by
+     * path relative to this group.
      */
     double scalarValue(const std::string &path) const;
 
@@ -286,8 +293,7 @@ class StatGroup
      * Visit every scalar-valued stat in this subtree with its fully
      * qualified name, in a deterministic order (names sorted within a
      * group, children in registration order). Counters and watermarks
-     * visit as their integral value, averages as the mean, formulas as
-     * the evaluated result.
+     * visit as their integral value, formulas as the evaluated result.
      */
     void forEachScalar(
         const std::function<void(const std::string &, double)> &fn,
@@ -323,9 +329,7 @@ class StatGroup
   private:
     struct CounterEntry { Counter *counter; std::string desc; };
     struct WatermarkEntry { Watermark *mark; std::string desc; };
-    struct AverageEntry { Average *avg; std::string desc; };
     struct DistEntry { Distribution *dist; std::string desc; };
-    struct HistEntry { Histogram *hist; std::string desc; };
     struct QuantileEntry { Quantile *quant; std::string desc; };
     struct FormulaEntry { Formula *formula; std::string desc; };
 
@@ -337,9 +341,7 @@ class StatGroup
     std::vector<StatGroup *> children;
     std::map<std::string, CounterEntry> counters;
     std::map<std::string, WatermarkEntry> watermarks;
-    std::map<std::string, AverageEntry> averages;
     std::map<std::string, DistEntry> dists;
-    std::map<std::string, HistEntry> hists;
     std::map<std::string, QuantileEntry> quants;
     std::map<std::string, FormulaEntry> formulas;
 };

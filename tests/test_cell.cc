@@ -11,6 +11,8 @@
 #include "cell_harness.hh"
 #include "common/random.hh"
 #include "isa/builder.hh"
+#include "trace/json.hh"
+#include "trace/trace.hh"
 
 using namespace opac;
 using namespace opac::isa;
@@ -543,42 +545,59 @@ TEST(CellSequencer, LoopCountReReadOnEveryEntry)
     EXPECT_EQ(h.output().size(), 6u);
 }
 
-TEST(CellTrace, HookSeesCallIssueAndHalt)
+TEST(CellTrace, TracerSeesCallIssueAndHalt)
 {
     ProgramBuilder b("traced");
     b.loopParam(0, [&] { b.mov(Src::TpX, DstTpO); });
     CellHarness h;
     h.cell.loadMicrocode(9, b.finish(), 1);
-    std::vector<std::string> lines;
-    h.cell.setTraceHook([&](const std::string &s) {
-        lines.push_back(s);
-    });
+    trace::Tracer tracer;
+    trace::VectorSink sink;
+    tracer.addSink(&sink);
+    h.cell.attachTracer(&tracer);
     h.call(9, {2});
     h.feedX({1, 2});
     h.sinkO(2);
     h.run();
-    ASSERT_GE(lines.size(), 4u); // call + 2 issues + halt
-    EXPECT_NE(lines.front().find("call traced"), std::string::npos);
-    EXPECT_NE(lines[1].find("mov tpx -> tpo"), std::string::npos);
-    EXPECT_NE(lines.back().find("halt"), std::string::npos);
+    std::vector<trace::Event> seq;
+    for (const trace::Event &e : sink.events) {
+        if (e.kind == trace::EventKind::CallBegin
+            || e.kind == trace::EventKind::Issue
+            || e.kind == trace::EventKind::CallEnd)
+            seq.push_back(e);
+    }
+    ASSERT_EQ(seq.size(), 4u); // call + 2 issues + halt
+    EXPECT_EQ(seq[0].kind, trace::EventKind::CallBegin);
+    EXPECT_EQ(seq[0].a, 9u);
+    EXPECT_EQ(tracer.trackName(seq[0].track), "traced");
+    for (int i : {1, 2}) {
+        EXPECT_EQ(seq[i].kind, trace::EventKind::Issue);
+        EXPECT_EQ(seq[i].arg, std::uint8_t(trace::OpClass::Move));
+    }
+    EXPECT_LT(seq[1].cycle, seq[2].cycle);
+    EXPECT_EQ(seq[3].kind, trace::EventKind::CallEnd);
 }
 
-TEST(CellTrace, DisabledHookCostsNothingAndChangesNothing)
+TEST(CellStats, DeadCellStopsSamplingOccupancy)
 {
-    auto run_once = [&](bool traced) {
-        ProgramBuilder b("t");
-        b.loopParam(0, [&] { b.mov(Src::TpX, DstTpO); });
-        CellHarness h;
-        h.cell.loadMicrocode(9, b.finish(), 1);
-        if (traced)
-            h.cell.setTraceHook([](const std::string &) {});
-        h.call(9, {8});
-        std::vector<float> in(8, 1.0f);
-        h.feedX(in);
-        h.sinkO(8);
-        return h.run();
-    };
-    EXPECT_EQ(run_once(false), run_once(true));
+    // A retired cell's local-queue occupancy ends at the cycle it was
+    // marked dead, even when its queues are reset afterwards.
+    CellHarness h;
+    h.cell.sumQueue().push(floatToWord(1.0f), 0);
+    h.feedX(std::vector<float>(4, 0.0f), 5); // runs the clock to 16
+    h.engine.runUntil(8);
+    h.cell.markDead(8);
+    h.run();
+    h.cell.hardReset(h.engine.now());
+    trace::json::Value doc;
+    std::string err;
+    ASSERT_TRUE(trace::json::parse(h.cell.stats().json(), doc, &err))
+        << err;
+    const trace::json::Value *occ = doc.find("cell0.sum.occupancy");
+    ASSERT_NE(occ, nullptr);
+    EXPECT_EQ(occ->find("count")->number, 8.0); // cycles 0..7
+    EXPECT_EQ(occ->find("min")->number, 1.0);
+    EXPECT_EQ(h.engine.now(), 16u);
 }
 
 TEST(CellStats, CountersAreConsistent)

@@ -9,6 +9,8 @@
 
 #include "common/random.hh"
 #include "fifo/timed_fifo.hh"
+#include "snap/snapshot.hh"
+#include "trace/json.hh"
 
 using namespace opac;
 
@@ -101,7 +103,7 @@ TEST(TimedFifo, ResetClearsContentAndReservations)
     TimedFifo f("f", 4);
     f.push(1, 0);
     f.reserve();
-    f.reset();
+    f.reset(0);
     EXPECT_TRUE(f.empty());
     EXPECT_EQ(f.reservedSlots(), 0u);
     EXPECT_EQ(f.space(), 4u);
@@ -115,10 +117,110 @@ TEST(TimedFifo, StatsCountTraffic)
     f.push(1, 0);
     f.push(2, 0);
     f.pop(3);
-    f.reset();
+    f.reset(3);
     EXPECT_EQ(g.counterValue("q.pushes"), 2u);
     EXPECT_EQ(g.counterValue("q.pops"), 1u);
     EXPECT_EQ(g.counterValue("q.resets"), 1u);
+}
+
+// --- occupancy: each level credited with the cycles it held ---------
+
+namespace
+{
+
+struct Occupancy
+{
+    double min, max, mean, count;
+};
+
+/** Queue @p q's occupancy distribution, read back from the JSON. */
+Occupancy
+occupancyOf(const stats::StatGroup &g, const std::string &q)
+{
+    trace::json::Value doc;
+    std::string err;
+    EXPECT_TRUE(trace::json::parse(g.json(), doc, &err)) << err;
+    const trace::json::Value *d =
+        doc.find(g.name() + "." + q + ".occupancy");
+    if (!d)
+        return {-1, -1, -1, -1};
+    return {d->find("min")->number, d->find("max")->number,
+            d->find("mean")->number, d->find("count")->number};
+}
+
+} // anonymous namespace
+
+TEST(TimedFifoOccupancy, SameCyclePushAndPopLeaveMinAndMax)
+{
+    stats::StatGroup g("top");
+    TimedFifo f("q", 4);
+    f.addStats(g);
+    f.settle(0);
+    f.push(1, 0);
+    f.push(2, 5); // level 1 held for cycles 0..4
+    f.pop(5);     // level 2 held for no cycle
+    f.settle(10); // level 1 again for cycles 5..9
+    Occupancy o = occupancyOf(g, "q");
+    EXPECT_EQ(o.count, 10.0);
+    EXPECT_EQ(o.min, 1.0);
+    EXPECT_EQ(o.max, 1.0);
+    EXPECT_EQ(o.mean, 1.0);
+}
+
+TEST(TimedFifoOccupancy, UnsettledQueueKeepsCountZero)
+{
+    stats::StatGroup g("top");
+    TimedFifo f("q", 4);
+    f.addStats(g);
+    f.push(1, 0);
+    f.push(2, 3);
+    f.pop(7);
+    f.reset(9);
+    EXPECT_EQ(occupancyOf(g, "q").count, 0.0);
+}
+
+TEST(TimedFifoOccupancy, ResetCreditsTheOldLevelThroughTheCycleBefore)
+{
+    stats::StatGroup g("top");
+    TimedFifo f("q", 4);
+    f.addStats(g);
+    f.settle(0);
+    for (Word w = 0; w < 3; ++w)
+        f.push(w, 0);
+    f.reset(4);   // level 3 for cycles 0..3
+    f.settle(6);  // level 0 for cycles 4..5
+    Occupancy o = occupancyOf(g, "q");
+    EXPECT_EQ(o.count, 6.0);
+    EXPECT_EQ(o.min, 0.0);
+    EXPECT_EQ(o.max, 3.0);
+    EXPECT_EQ(o.mean, 2.0);
+}
+
+TEST(TimedFifoOccupancy, LoadStateRestartsTheLevelClock)
+{
+    TimedFifo saved("q", 4);
+    for (Word w = 0; w < 3; ++w)
+        saved.push(w, 0);
+    snap::Writer w;
+    saved.saveState(w);
+    const std::string payload = w.take();
+
+    stats::StatGroup g("top");
+    TimedFifo f("q", 4);
+    f.addStats(g);
+    f.settle(0);
+    f.push(9, 0);
+    f.settle(10); // level 1 for cycles 0..9
+    snap::Reader r(payload, "test");
+    f.loadState(r);
+    // The restored level 3 is held from the restored cycle on, not
+    // from the last cycle this queue credited.
+    f.settle(50);
+    f.settle(54);
+    Occupancy o = occupancyOf(g, "q");
+    EXPECT_EQ(o.count, 14.0);
+    EXPECT_EQ(o.max, 3.0);
+    EXPECT_NEAR(o.mean, (10.0 + 3.0 * 4) / 14.0, 1e-8); // JSON %.9g
 }
 
 /**

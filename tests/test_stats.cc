@@ -1,9 +1,9 @@
 /**
  * @file
- * The stats/PMU observability layer: stat-kind arithmetic, hierarchical
- * naming and lookup, interval-sampling boundary behaviour, JSON
- * round-trips, architectural PMU readback over tpi, and the bench_diff
- * regression classifier.
+ * The stats/PMU observability layer: stat-kind arithmetic, the state
+ * clock behind time-in-state counters, hierarchical naming and lookup,
+ * interval-sampling boundary behaviour, JSON round-trips, architectural
+ * PMU readback over tpi, and the bench_diff regression classifier.
  */
 
 #include <gtest/gtest.h>
@@ -63,16 +63,6 @@ TEST(StatMath, CounterAndWatermark)
     EXPECT_EQ(w.value(), 7u);
 }
 
-TEST(StatMath, WeightedAverage)
-{
-    stats::Average a;
-    EXPECT_DOUBLE_EQ(a.mean(), 0.0);
-    a.sample(1.0, 3);
-    a.sample(5.0, 1);
-    EXPECT_DOUBLE_EQ(a.mean(), (1.0 * 3 + 5.0) / 4.0);
-    EXPECT_EQ(a.weight(), 4u);
-}
-
 TEST(StatMath, Distribution)
 {
     stats::Distribution d;
@@ -85,25 +75,64 @@ TEST(StatMath, Distribution)
     EXPECT_EQ(d.count(), 3u);
 }
 
-TEST(StatMath, HistogramPowerOfTwoBuckets)
+TEST(StateClock, StateHeldForZeroCyclesCreditsNothing)
 {
-    stats::Histogram h;
-    h.sample(0);            // bucket 0
-    h.sample(1);            // bucket 1: [1, 2)
-    h.sample(2);            // bucket 2: [2, 4)
-    h.sample(3);            // bucket 2
-    h.sample(4);            // bucket 3: [4, 8)
-    h.sample(7);            // bucket 3
-    h.sample(1024);         // bucket 11: [1024, 2048)
-    ASSERT_EQ(h.buckets().size(), 12u);
-    EXPECT_EQ(h.buckets()[0], 1u);
-    EXPECT_EQ(h.buckets()[1], 1u);
-    EXPECT_EQ(h.buckets()[2], 2u);
-    EXPECT_EQ(h.buckets()[3], 2u);
-    EXPECT_EQ(h.buckets()[11], 1u);
-    EXPECT_EQ(h.count(), 7u);
-    EXPECT_EQ(h.max(), 1024u);
-    EXPECT_FALSE(h.render().empty());
+    stats::Counter busy, idle;
+    stats::StateClock clock;
+    clock.settle(10);
+    clock.enter(&idle, nullptr, 10);
+    clock.enter(&busy, nullptr, 10); // idle held for no cycle
+    clock.enter(&idle, nullptr, 13);
+    clock.enter(&busy, nullptr, 13); // nor here
+    clock.enter(&busy, nullptr, 14); // same state: no change
+    clock.settle(20);
+    EXPECT_EQ(busy.value(), 10u);
+    EXPECT_EQ(idle.value(), 0u);
+}
+
+TEST(StateClock, SettlingTwiceAtOneCycleCreditsOnce)
+{
+    stats::Counter busy;
+    stats::StateClock clock;
+    clock.settle(0);
+    clock.enter(&busy, nullptr, 0);
+    clock.settle(5);
+    clock.settle(5);
+    EXPECT_EQ(busy.value(), 5u);
+    // A PMU readback settles through its own cycle; the run's exit
+    // settle at that cycle must not count it again.
+    clock.settle(8);
+    clock.settle(7);
+    clock.settle(8);
+    EXPECT_EQ(busy.value(), 8u);
+}
+
+TEST(StateClock, TwoCounterStateCreditsBoth)
+{
+    stats::Counter busy, stall;
+    stats::StateClock clock;
+    clock.settle(2);
+    clock.enter(&busy, &stall, 2);
+    EXPECT_EQ(clock.second(), &stall);
+    clock.enter(&busy, nullptr, 6);
+    clock.settle(9);
+    EXPECT_EQ(busy.value(), 7u);
+    EXPECT_EQ(stall.value(), 4u);
+    EXPECT_EQ(clock.second(), nullptr);
+}
+
+TEST(StateClock, StoppedClockCreditsNothingUntilSettled)
+{
+    stats::Counter busy;
+    stats::StateClock clock;
+    clock.enter(&busy, nullptr, 3); // a new state starts the clock
+    clock.settle(5);
+    EXPECT_EQ(busy.value(), 2u);
+    clock.stop();
+    clock.settle(40); // restarts here: the stopped span is not credited
+    EXPECT_EQ(busy.value(), 2u);
+    clock.settle(44);
+    EXPECT_EQ(busy.value(), 6u);
 }
 
 TEST(StatMath, FormulaEvaluatesAtReadTime)
@@ -189,14 +218,14 @@ TEST(StatJson, RoundTripThroughParser)
 {
     stats::StatGroup root("sys");
     stats::Counter c;
-    stats::Histogram h;
+    stats::Distribution d;
     stats::Formula f([&] { return double(c.value()) * 0.5; });
     root.addCounter("events", &c, "raw events");
-    root.addHistogram("depth", &h, "queue depth");
+    root.addDistribution("depth", &d, "queue depth");
     root.addFormula("half", &f, "events / 2");
     c += 12;
-    h.sample(3);
-    h.sample(0);
+    d.sample(3.0);
+    d.sample(0.0, 3);
 
     trace::json::Value doc;
     std::string err;
@@ -214,7 +243,10 @@ TEST(StatJson, RoundTripThroughParser)
     ASSERT_NE(depth, nullptr);
     const auto *count = depth->find("count");
     ASSERT_NE(count, nullptr);
-    EXPECT_DOUBLE_EQ(count->number, 2.0);
+    EXPECT_DOUBLE_EQ(count->number, 4.0);
+    const auto *max = depth->find("max");
+    ASSERT_NE(max, nullptr);
+    EXPECT_DOUBLE_EQ(max->number, 3.0);
 }
 
 // ---------------------------------------------------------------------
