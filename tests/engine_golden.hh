@@ -19,7 +19,9 @@
 #include "fault/fault.hh"
 #include "host/host.hh"
 #include "kernels/kernel_set.hh"
+#include "common/random.hh"
 #include "planner/linalg_plan.hh"
+#include "planner/signal_plan.hh"
 #include "trace/trace.hh"
 
 namespace opac::test
@@ -31,10 +33,20 @@ enum class Workload
     Lu,
     Trmm,
     Syrk,
+    Conv2d,
+    Fft,
 };
 
 inline constexpr Workload kAllLoads[] = {Workload::MatUpdate, Workload::Lu,
                                          Workload::Trmm, Workload::Syrk};
+
+/**
+ * The signal loads: conv2d's reload pass issues `fma -> sum` together
+ * with `move tpx -> reby`, so results land out of issue order, and the
+ * FFT's register butterflies stall on pending register writes.
+ */
+inline constexpr Workload kSignalLoads[] = {Workload::Conv2d,
+                                            Workload::Fft};
 
 inline const char *
 workloadName(Workload w)
@@ -48,6 +60,10 @@ workloadName(Workload w)
         return "trmm";
       case Workload::Syrk:
         return "syrk";
+      case Workload::Conv2d:
+        return "conv2d";
+      case Workload::Fft:
+        return "fft";
     }
     return "?";
 }
@@ -149,6 +165,38 @@ runWorkload(Workload w, Shape s, sim::EngineMode mode, bool traced,
         MatRef c = allocMat(sys.memory(), n, n);
         MatRef a = allocMat(sys.memory(), n, 16);
         plan.syrkLower(c, a);
+        break;
+      }
+      case Workload::Conv2d: {
+        // A 3x3 correlation of an n x n image, stored transposed and
+        // padded as the conv2d planner requires.
+        const std::size_t p = 3, q = 3;
+        Rng rng(11);
+        MatRef img_t = allocMat(sys.memory(), n + q - 1, n + p);
+        for (std::size_t r = 0; r < n; ++r)
+            for (std::size_t c = 0; c < n; ++c)
+                sys.memory().storeF(img_t.addrOf(c, r), rng.element());
+        MatRef wr = allocMat(sys.memory(), p, q);
+        for (std::size_t i = 0; i < p; ++i)
+            for (std::size_t j = 0; j < q; ++j)
+                sys.memory().storeF(wr.addrOf(i, j), rng.element());
+        MatRef out_t = allocMat(sys.memory(), n, n);
+        SignalPlanner sig(sys);
+        sig.conv2d(img_t, wr, out_t, n, n);
+        sig.commit();
+        break;
+      }
+      case Workload::Fft: {
+        // Four 64-point transforms, one per cell at P=4.
+        const std::size_t points = 64, batch = 4;
+        Rng rng(13);
+        const std::size_t in = sys.memory().alloc(2 * points * batch);
+        for (std::size_t i = 0; i < 2 * points * batch; ++i)
+            sys.memory().storeF(in + i, rng.element());
+        const std::size_t fft_out = sys.memory().alloc(2 * points * batch);
+        SignalPlanner sig(sys);
+        sig.fft(in, fft_out, points, batch);
+        sig.commit();
         break;
       }
     }

@@ -8,9 +8,15 @@
  * series at interval 64 — and its PMU readbacks are hashed and
  * compared with a hash of the reference model's output.
  *
+ * The clean runs are also traced, and each event stream (cycle, kind,
+ * arg, component, track and both payload words of every event) is
+ * hashed into kTraceGolden: that pins the order of Retire events and
+ * every per-cycle Stall event, which the counters only sum up.
+ *
  * After a deliberate model change, run this test: each mismatching
- * case prints its new hash as a source line for kGolden and writes its
- * stats JSON next to the test binary (golden_<case>.json) for review.
+ * case prints its new hash as a source line for kGolden or kTraceGolden
+ * and writes its stats JSON next to the test binary
+ * (golden_<case>.json) for review.
  */
 
 #include <gtest/gtest.h>
@@ -62,9 +68,39 @@ const Golden kGolden[] = {
     {"syrk_p1_faulted", 0x40401b60e0662a17ull},
     {"syrk_p4_clean", 0x825d5a24faed1e42ull},
     {"syrk_p4_faulted", 0x761a6b52b9b7d363ull},
+    {"conv2d_p1_clean", 0x7a76674758d24c34ull},
+    {"conv2d_p1_faulted", 0xb0ac1b0a2d87297aull},
+    {"conv2d_p4_clean", 0x97f9c437bfc98db0ull},
+    {"conv2d_p4_faulted", 0x442129a003c29a35ull},
+    {"fft_p1_clean", 0x7e6e2d9d73baff9dull},
+    {"fft_p1_faulted", 0x4a8e573a5dde1c7aull},
+    {"fft_p4_clean", 0x40f197d01bb9104cull},
+    {"fft_p4_faulted", 0x235847ae27fdae3aull},
     {"recovery_dead_cell", 0x496d0d6b6de906f6ull},
 };
+
+/** Hashes of the clean runs' traced event streams (eventsHash). */
+const Golden kTraceGolden[] = {
+    {"matupdate_p1", 0x386044ef56160ea1ull},
+    {"matupdate_p4", 0xea7ec674b012054eull},
+    {"lu_p1", 0xbaf908b271ba44e0ull},
+    {"lu_p4", 0x233123ed2782a6ebull},
+    {"trmm_p1", 0x9a66d9c8da79953dull},
+    {"trmm_p4", 0x77de75c7fd2fd74bull},
+    {"syrk_p1", 0xbd71c9ddf1a839b7ull},
+    {"syrk_p4", 0xb4e9b28c84970349ull},
+    {"conv2d_p1", 0x20bef1523f9dbe1eull},
+    {"conv2d_p4", 0xb67f424df750127bull},
+    {"fft_p1", 0x825d67c3ed026920ull},
+    {"fft_p4", 0x18cc1fdb428ba6a0ull},
+};
 // clang-format on
+
+/** Every load the golden hashes cover. */
+const Workload kGoldenLoads[] = {
+    Workload::MatUpdate, Workload::Lu,     Workload::Trmm,
+    Workload::Syrk,      Workload::Conv2d, Workload::Fft,
+};
 
 std::uint64_t
 goldenHash(const std::string &json, const std::vector<Word> &pmu)
@@ -75,28 +111,61 @@ goldenHash(const std::string &json, const std::vector<Word> &pmu)
     return h;
 }
 
-/** Compare @p got with the committed hash of case @p name. */
+/** Every field of every event, in stream order. */
+std::uint64_t
+eventsHash(const std::vector<trace::Event> &events)
+{
+    std::uint64_t h = snap::fnv1a(nullptr, 0);
+    for (const trace::Event &e : events) {
+        h = snap::fnvMix(h, e.cycle);
+        h = snap::fnvMix(h, std::uint64_t(e.kind)
+                                | std::uint64_t(e.arg) << 8
+                                | std::uint64_t(e.comp) << 16
+                                | std::uint64_t(e.track) << 32);
+        h = snap::fnvMix(h, std::uint64_t(e.a) | std::uint64_t(e.b) << 32);
+    }
+    return h;
+}
+
+/**
+ * Compare @p got with the hash committed for case @p name in @p table.
+ * On a mismatch, print the replacement line and return false.
+ */
+template <std::size_t N>
+bool
+expectHash(const Golden (&table)[N], const char *table_name,
+           const std::string &name, std::uint64_t got)
+{
+    const Golden *want = nullptr;
+    for (const Golden &g : table) {
+        if (name == g.name)
+            want = &g;
+    }
+    if (!want) {
+        ADD_FAILURE() << "no " << table_name << " hash for " << name;
+        return false;
+    }
+    if (got == want->hash)
+        return true;
+    char line[96];
+    std::snprintf(line, sizeof line, "    {\"%s\", 0x%016llxull},",
+                  name.c_str(), (unsigned long long)got);
+    ADD_FAILURE() << name << ": differs from the reference in "
+                  << table_name << "; if the change is deliberate:\n"
+                  << line;
+    return false;
+}
+
+/** Compare a run's stats and PMU readbacks with kGolden. */
 void
 expectGolden(const std::string &name, const std::string &json,
              const std::vector<Word> &pmu)
 {
-    const std::uint64_t got = goldenHash(json, pmu);
-    const Golden *want = nullptr;
-    for (const Golden &g : kGolden) {
-        if (name == g.name)
-            want = &g;
-    }
-    ASSERT_NE(want, nullptr) << "no golden hash for " << name;
-    if (got == want->hash)
+    if (expectHash(kGolden, "kGolden", name, goldenHash(json, pmu)))
         return;
     const std::string path = "golden_" + name + ".json";
     std::ofstream(path) << json;
-    char line[96];
-    std::snprintf(line, sizeof line, "    {\"%s\", 0x%016llxull},",
-                  name.c_str(), (unsigned long long)got);
-    ADD_FAILURE() << name << ": stats differ from the reference (JSON in "
-                  << path << "); if the change is deliberate:\n"
-                  << line;
+    ADD_FAILURE() << name << ": stats JSON written to " << path;
 }
 
 /** One named value of a stats JSON document ("stats" object). */
@@ -111,7 +180,7 @@ statOf(const trace::json::Value &doc, const std::string &name)
 
 TEST(StatsGolden, WorkloadsMatchTheReferenceModel)
 {
-    for (Workload w : kAllLoads) {
+    for (Workload w : kGoldenLoads) {
         for (Shape s : kGoldenShapes) {
             for (bool faulted : {false, true}) {
                 const std::string name =
@@ -123,6 +192,20 @@ TEST(StatsGolden, WorkloadsMatchTheReferenceModel)
                     faulted ? std::vector<cell::PmuReg>{} : kPmuRegs);
                 expectGolden(name, out.statsJson, out.pmuWords);
             }
+        }
+    }
+}
+
+TEST(StatsGolden, TracedEventsMatchTheReferenceModel)
+{
+    for (Workload w : kGoldenLoads) {
+        for (Shape s : kGoldenShapes) {
+            const std::string name = std::string(workloadName(w)) + "_p"
+                                     + std::to_string(s.p);
+            RunOut out = runWorkload(w, s, sim::EngineMode::Spin, true);
+            ASSERT_FALSE(out.events.empty()) << name;
+            expectHash(kTraceGolden, "kTraceGolden", name,
+                       eventsHash(out.events));
         }
     }
 }
