@@ -93,6 +93,63 @@ triangularKernel()
     return b.finish();
 }
 
+/** Cycles at which the traced cell issued, in program order. */
+std::vector<Cycle>
+issueCycles(const trace::VectorSink &sink)
+{
+    std::vector<Cycle> out;
+    for (const trace::Event &e : sink.events) {
+        if (e.kind == trace::EventKind::Issue)
+            out.push_back(e.cycle);
+    }
+    return out;
+}
+
+/** Number of traced events of kind @p kind. */
+std::size_t
+countEvents(const trace::VectorSink &sink, trace::EventKind kind)
+{
+    std::size_t n = 0;
+    for (const trace::Event &e : sink.events)
+        n += e.kind == kind;
+    return n;
+}
+
+/** A single cell traced into its own sink, in engine mode @p mode. */
+struct TracedCell
+{
+    explicit TracedCell(sim::EngineMode mode,
+                        const cell::CellConfig &cfg = {})
+        : h(cfg)
+    {
+        tracer.addSink(&sink);
+        h.cell.attachTracer(&tracer);
+        h.engine.setMode(mode);
+    }
+
+    std::uint64_t
+    counter(const char *name)
+    {
+        return h.cell.stats().counterValue(name);
+    }
+
+    CellHarness h;
+    trace::Tracer tracer;
+    trace::VectorSink sink;
+};
+
+constexpr sim::EngineMode kBothModes[] = {sim::EngineMode::Spin,
+                                          sim::EngineMode::Skip};
+
+/** Kernel: move one word from @p from to tpo. */
+Program
+moveOneKernel(const char *name, Src from)
+{
+    ProgramBuilder b(name);
+    b.mov(from, DstTpO);
+    return b.finish();
+}
+
 } // anonymous namespace
 
 TEST(CellSequencer, CopiesStreamInOrder)
@@ -410,6 +467,100 @@ TEST(CellHazards, WawInterlockOrdersRegisterWrites)
     EXPECT_EQ(h.output()[0], 42.0f);
 }
 
+TEST(CellHazards, RegisterFileWriteWaitsForPendingRegAyWrite)
+{
+    // regay and the register file are one writeback destination: a
+    // move into r2 issued right after a multiply into regay lands with
+    // the multiply, not before it, so the reader of r2 stalls until
+    // the multiply's latency has passed.
+    ProgramBuilder b("regport");
+    b.mul(src(Src::TpX), src(Src::TpY), DstRegAy); // latency 3
+    b.mov(Src::TpX, DstReg, 2);                    // latency 1
+    b.add(reg(2), src(Src::Zero), DstTpO);
+    TracedCell t(sim::EngineMode::Spin);
+    t.h.cell.loadMicrocode(9, b.finish(), 0);
+    t.h.call(9, {});
+    t.h.cell.tpx().push(floatToWord(3.0f), 0);
+    t.h.cell.tpx().push(floatToWord(5.0f), 0);
+    t.h.cell.tpy().push(floatToWord(4.0f), 0);
+    t.h.sinkO(1);
+    t.h.run();
+    EXPECT_EQ(t.h.output(), (std::vector<float>{5.0f}));
+    const std::vector<Cycle> issued = issueCycles(t.sink);
+    ASSERT_EQ(issued.size(), 3u);
+    EXPECT_EQ(issued[1], issued[0] + 1);
+    EXPECT_EQ(issued[2], issued[0] + 3);
+    EXPECT_EQ(t.counter("stallRegPending"), 1u);
+    // Both land in the multiply's cycle, regay first.
+    std::vector<const trace::Event *> retired;
+    for (const trace::Event &e : t.sink.events) {
+        if (e.kind == trace::EventKind::Retire)
+            retired.push_back(&e);
+    }
+    ASSERT_GE(retired.size(), 2u);
+    EXPECT_EQ(retired[0]->a, unsigned(DstRegAy));
+    EXPECT_EQ(retired[1]->a, unsigned(DstReg));
+    EXPECT_EQ(retired[0]->cycle, issued[0] + 3);
+    EXPECT_EQ(retired[1]->cycle, issued[0] + 3);
+}
+
+TEST(CellHazards, DualDestinationEntryHoldsBackItsOtherQueue)
+{
+    // A move into sum and ret waits behind a slower fma into sum; a
+    // later move into ret alone must then wait behind it too, although
+    // nothing earlier writes ret.
+    ProgramBuilder b("dualwait");
+    b.fma(src(Src::TpX), src(Src::TpY), src(Src::Zero), DstSum); // 6
+    b.mov(Src::TpX, DstSum | DstRet);
+    b.mov(Src::TpX, DstRet);
+    b.mov(Src::Ret, DstTpO);
+    b.mov(Src::Ret, DstTpO);
+    TracedCell t(sim::EngineMode::Spin);
+    t.h.cell.loadMicrocode(9, b.finish(), 0);
+    t.h.call(9, {});
+    for (float v : {2.0f, 10.0f, 20.0f})
+        t.h.cell.tpx().push(floatToWord(v), 0);
+    t.h.cell.tpy().push(floatToWord(3.0f), 0);
+    t.h.sinkO(2);
+    t.h.run();
+    // Issue order on ret: the dual-destination word first.
+    EXPECT_EQ(t.h.output(), (std::vector<float>{10.0f, 20.0f}));
+    const std::vector<Cycle> issued = issueCycles(t.sink);
+    ASSERT_EQ(issued.size(), 5u);
+    // The fma lands at +6 and releases both moves; ret's front falls
+    // through a cycle later.
+    EXPECT_EQ(issued[3], issued[0] + 7);
+    EXPECT_EQ(t.h.cell.sumQueue().size(), 2u);
+}
+
+TEST(CellHazards, SameCycleLandingCountsOneWritePortConflict)
+{
+    // A move into tpo queued behind a multiply into tpo lands in the
+    // multiply's cycle: either because it is due then, or because it
+    // was due earlier and waited. Each counts one conflict.
+    for (bool due_together : {true, false}) {
+        ProgramBuilder b("conflict");
+        b.mov(Src::TpX, DstRegAy);
+        b.mul(src(Src::TpX), src(Src::RegAy), DstTpO); // latency 3
+        if (due_together)
+            b.mov(Src::TpX, DstSum);
+        b.mov(Src::TpX, DstTpO); // latency 1
+        TracedCell t(sim::EngineMode::Spin);
+        t.h.cell.loadMicrocode(9, b.finish(), 0);
+        t.h.call(9, {});
+        for (float v : {2.0f, 5.0f, 7.0f, 99.0f})
+            t.h.cell.tpx().push(floatToWord(v), 0);
+        t.h.sinkO(2);
+        t.h.run();
+        const std::vector<float> want =
+            due_together ? std::vector<float>{10.0f, 99.0f}
+                         : std::vector<float>{10.0f, 7.0f};
+        EXPECT_EQ(t.h.output(), want) << "due_together=" << due_together;
+        EXPECT_EQ(t.counter("writePortConflicts"), 1u)
+            << "due_together=" << due_together;
+    }
+}
+
 TEST(CellSequencer, ParamAluMul2Div2)
 {
     // Emit 2*p0 words, then p0/2 words (the FFT-style manipulations).
@@ -610,4 +761,120 @@ TEST(CellStats, CountersAreConsistent)
     h.run();
     EXPECT_EQ(h.cell.issuedOps(), 6u);
     EXPECT_GE(h.cell.busyCycles(), 6u);
+}
+
+TEST(CellStallMemo, SrcEmptyReleasedByHostPush)
+{
+    // Call at 1, decode through 5, the mov stalls on an empty tpx from
+    // 6 until the word pushed at 40 falls through at 41.
+    for (sim::EngineMode mode : kBothModes) {
+        TracedCell t(mode);
+        t.h.cell.loadMicrocode(1, moveOneKernel("srcwait", Src::TpX), 0);
+        t.h.call(1, {});
+        t.h.engine.runUntil(40);
+        t.h.cell.tpx().push(floatToWord(1.0f), 40);
+        t.h.run();
+        EXPECT_EQ(issueCycles(t.sink), std::vector<Cycle>{41});
+        EXPECT_EQ(t.counter("stallSrcEmpty"), 35u);
+        EXPECT_EQ(countEvents(t.sink, trace::EventKind::Stall), 35u);
+        EXPECT_EQ(t.counter("stallRegPending"), 0u);
+        EXPECT_EQ(t.counter("stallDstFull"), 0u);
+    }
+}
+
+TEST(CellStallMemo, RegPendingReleasedWhenTheWritebackLands)
+{
+    // The add reads r5 while the fma's write to it is in flight: it
+    // stalls for the fma's six cycles less the one it issued in.
+    ProgramBuilder b("regwait");
+    b.fma(src(Src::TpX), src(Src::TpY), src(Src::Zero), DstReg,
+          AddOp::Add, 5);
+    b.add(reg(5), src(Src::One), DstTpO);
+    const Program prog = b.finish();
+    for (sim::EngineMode mode : kBothModes) {
+        TracedCell t(mode);
+        t.h.cell.loadMicrocode(1, prog, 0);
+        t.h.call(1, {});
+        t.h.cell.tpx().push(floatToWord(3.0f), 0);
+        t.h.cell.tpy().push(floatToWord(4.0f), 0);
+        t.h.run();
+        EXPECT_EQ(issueCycles(t.sink), (std::vector<Cycle>{6, 12}));
+        EXPECT_EQ(t.counter("stallRegPending"), 5u);
+        EXPECT_EQ(countEvents(t.sink, trace::EventKind::Stall), 5u);
+        EXPECT_EQ(wordToFloat(t.h.cell.tpo().pop(t.h.engine.now())),
+                  13.0f);
+    }
+}
+
+TEST(CellStallMemo, DstFullReleasedWhenTheHostDrainsTpo)
+{
+    // tpo holds two words: the third mov stalls from 8 until the host
+    // pops one at 30, and issues in that same cycle.
+    cell::CellConfig cfg;
+    cfg.interfaceDepth = 2;
+    ProgramBuilder b("dstwait");
+    b.loopImm(3, [&] { b.mov(Src::TpX, DstTpO); });
+    const Program prog = b.finish();
+    for (sim::EngineMode mode : kBothModes) {
+        TracedCell t(mode, cfg);
+        t.h.cell.loadMicrocode(1, prog, 0);
+        t.h.call(1, {});
+        for (float v : {1.0f, 2.0f})
+            t.h.cell.tpx().push(floatToWord(v), 0);
+        // tpx is just as shallow: the third word goes in once the
+        // first has left, ready for the third mov at 8.
+        t.h.engine.runUntil(7);
+        t.h.cell.tpx().push(floatToWord(3.0f), 7);
+        t.h.engine.runUntil(30);
+        EXPECT_EQ(wordToFloat(t.h.cell.tpo().pop(30)), 1.0f);
+        t.h.run();
+        EXPECT_EQ(issueCycles(t.sink), (std::vector<Cycle>{6, 7, 30}));
+        EXPECT_EQ(t.counter("stallDstFull"), 22u);
+        EXPECT_EQ(countEvents(t.sink, trace::EventKind::Stall), 22u);
+    }
+}
+
+TEST(CellStallMemo, HangInjectedMidStall)
+{
+    // Stalled on tpx from 6, frozen for 10 cycles at 20, stalled again
+    // from 30 until the word pushed at 35 falls through.
+    for (sim::EngineMode mode : kBothModes) {
+        TracedCell t(mode);
+        t.h.cell.loadMicrocode(1, moveOneKernel("hangwait", Src::TpX),
+                               0);
+        t.h.call(1, {});
+        t.h.engine.runUntil(20);
+        t.h.cell.injectHang(20, 10);
+        t.h.engine.runUntil(35);
+        t.h.cell.tpx().push(floatToWord(1.0f), 35);
+        t.h.run();
+        EXPECT_EQ(issueCycles(t.sink), std::vector<Cycle>{36});
+        EXPECT_EQ(t.counter("stallSrcEmpty"), 14u + 6u);
+        EXPECT_EQ(countEvents(t.sink, trace::EventKind::Stall), 20u);
+        EXPECT_EQ(t.counter("hangCycles"), 10u);
+    }
+}
+
+TEST(CellStallMemo, SpuriousHaltThenNewCall)
+{
+    // A kernel stalled on tpx halts spuriously at 20; the next call
+    // moves a word that is already waiting in tpy and must not inherit
+    // the abandoned instruction's stall.
+    for (sim::EngineMode mode : kBothModes) {
+        TracedCell t(mode);
+        t.h.cell.loadMicrocode(1, moveOneKernel("halted", Src::TpX), 0);
+        t.h.cell.loadMicrocode(2, moveOneKernel("next", Src::TpY), 0);
+        t.h.call(1, {});
+        t.h.engine.runUntil(20);
+        t.h.cell.injectSpuriousHalt(20);
+        t.h.cell.tpi().push(2, 20);
+        t.h.cell.tpy().push(floatToWord(4.0f), 20);
+        t.h.run();
+        // Call word at 21, decode through 25, issue at 26.
+        EXPECT_EQ(issueCycles(t.sink), std::vector<Cycle>{26});
+        EXPECT_EQ(t.counter("stallSrcEmpty"), 14u);
+        EXPECT_EQ(countEvents(t.sink, trace::EventKind::Stall), 14u);
+        EXPECT_EQ(wordToFloat(t.h.cell.tpo().pop(t.h.engine.now())),
+                  4.0f);
+    }
 }

@@ -394,6 +394,61 @@ TEST(SnapshotResume, TraceStreamSplitsExactly)
             << "suffix event " << i;
 }
 
+TEST(SnapshotResume, MidStallSnapshotResumesByteIdentical)
+{
+    // A snapshot taken between two stalled cycles of one cell: the
+    // machine that took it and a fresh one restored from it both
+    // finish byte-identical to the uninterrupted run.
+    for (EngineMode mode : kAllModes) {
+        CoprocConfig cfg = baseConfig(mode, true, false);
+        RunOut ref = runStraight(cfg, false);
+
+        // The first cycle at which cell 0 stalls for the second cycle
+        // in a row.
+        Cycle at = 0;
+        {
+            trace::Tracer tracer;
+            trace::VectorSink sink;
+            tracer.addSink(&sink);
+            auto t = buildPlanned(cfg, false);
+            t->attachTracer(&tracer);
+            t->run();
+            const std::uint16_t comp =
+                tracer.internComponent(t->cell(0).name());
+            Cycle last = 0;
+            for (const trace::Event &e : sink.events) {
+                if (e.kind != trace::EventKind::Stall || e.comp != comp)
+                    continue;
+                if (last != 0 && e.cycle == last + 1) {
+                    at = e.cycle;
+                    break;
+                }
+                last = e.cycle;
+            }
+        }
+        const std::string what =
+            std::string("mode=") + sim::engineModeName(mode);
+        ASSERT_NE(at, 0u) << what << ": cell 0 never stalls twice";
+
+        auto a = buildPlanned(cfg, false);
+        a->runUntil(at);
+        snap::Snapshot snap = a->takeSnapshot();
+        a->run();
+        RunOut cont = finishOut(*a);
+        EXPECT_EQ(ref.endCycle, cont.endCycle) << what;
+        EXPECT_EQ(ref.statsJson, cont.statsJson) << what;
+        EXPECT_EQ(ref.memSum, cont.memSum) << what;
+
+        auto b = buildPlanned(cfg, false);
+        b->restoreSnapshot(snap);
+        b->run();
+        RunOut got = finishOut(*b);
+        EXPECT_EQ(ref.endCycle, got.endCycle) << what;
+        EXPECT_EQ(ref.statsJson, got.statsJson) << what;
+        EXPECT_EQ(ref.memSum, got.memSum) << what;
+    }
+}
+
 TEST(SnapshotResume, WrongConfigurationIsRejected)
 {
     CoprocConfig cfg = baseConfig(EngineMode::Skip, true, false);
