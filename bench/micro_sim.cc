@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks of the simulator itself: softfloat
  * operation rates, FIFO operation rates per word-protection mode,
- * end-to-end cell simulation speed (streaming and stalled) and
+ * end-to-end cell simulation speed (streaming, out-of-order
+ * writeback and stalled) and
  * snapshot-save throughput. These guard the wall-clock cost of the big
  * table sweeps and of the job server's protected queues and
  * checkpoints.
@@ -125,6 +126,47 @@ BENCHMARK(BM_CellInnerLoop)
     ->Arg(int(cell::FpKind::Soft))
     ->Arg(int(cell::FpKind::Native))
     ->Arg(int(cell::FpKind::Token));
+
+/**
+ * The interpreter on a body whose results land out of issue order on
+ * every iteration, as in conv2d's reload pass: the fma's sum result
+ * lands six cycles after issue while its parallel move refills reby
+ * after one, so each cycle's writeback drain commits a move past
+ * older fma results still in flight. Token FP, so the sequencer and
+ * the drain carry the cost. Reports issues per second.
+ */
+void
+BM_CellMixedWriteback(benchmark::State &state)
+{
+    using namespace isa;
+    constexpr std::uint32_t iters = 1u << 16;
+    Cycle cycles = 0;
+    for (auto _ : state) {
+        cell::CellConfig cfg;
+        cfg.fp = cell::FpKind::Token;
+        cell::Cell c("bench", cfg);
+        ProgramBuilder b("mixed");
+        b.loopImm(iters, [&] {
+            b.fma(src(Src::Reby), src(Src::RegAy), src(Src::Sum), DstSum)
+                .withMove(src(Src::RetR), DstReby);
+        });
+        c.loadMicrocode(1, b.finish(), 0);
+        c.tpi().push(1, 0);
+        for (int i = 0; i < 16; ++i)
+            c.sumQueue().push(floatToWord(1.0f), 0);
+        for (int i = 0; i < 4; ++i)
+            c.rebyQueue().push(floatToWord(2.0f), 0);
+        c.retQueue().push(floatToWord(0.5f), 0);
+        sim::Engine e(100000);
+        e.add(&c);
+        cycles = e.run();
+        benchmark::DoNotOptimize(c.issuedOps());
+    }
+    state.SetItemsProcessed(std::int64_t(state.iterations()) * iters);
+    // About 1: the body issues every cycle.
+    state.counters["cycles_per_issue"] = double(cycles) / iters;
+}
+BENCHMARK(BM_CellMixedWriteback);
 
 /**
  * The stall tick: one cell under the spin engine blocked on an empty

@@ -213,11 +213,12 @@ cp "$release/BENCH_table_6_2.json" \
     "$artifacts/BENCH_table_6_2_fast_tier_on.json"
 (cd "$release" && ./bench/kernels_throughput > /dev/null)
 # Per-layer rates: FIFO push+pop under each parity mode, the cell
-# tick streaming an fma loop and stalled on an empty queue, and
+# tick streaming an fma loop, streaming with out-of-order writebacks
+# and stalled on an empty queue, and
 # snapshot save (takeSnapshot().encode()) throughput. Recorded, not
 # gated.
 "$release/bench/micro_sim" \
-    --benchmark_filter='BM_FifoPushPop|BM_CellInnerLoop|BM_CellStallTick|BM_CheckpointEncode' \
+    --benchmark_filter='BM_FifoPushPop|BM_CellInnerLoop|BM_CellMixedWriteback|BM_CellStallTick|BM_CheckpointEncode' \
     --benchmark_out="$artifacts/micro_sim.json" \
     --benchmark_out_format=json > /dev/null
 echo "perf smoke OK"

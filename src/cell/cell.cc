@@ -1,6 +1,7 @@
 #include "cell/cell.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/error.hh"
 #include "common/logging.hh"
@@ -186,6 +187,7 @@ Cell::loadMicrocode(Word entry, isa::Program prog, unsigned nparams)
     // keyed on the Kernel address would go stale: drop them all.
     fastBodies.clear();
     burstBody = nullptr;
+    blocker = {};
     if (tracer)
         tracer->internTrack(traceComp, k.prog.name());
 }
@@ -212,7 +214,7 @@ Cell::queueFor(Src s)
     }
 }
 
-StallCause
+Cell::Blocker
 Cell::checkHazards(const isa::DecodedInstr &d, Cycle now) const
 {
     // The read list preserves operand order (mulA, mulB, addA, addB,
@@ -223,15 +225,16 @@ Cell::checkHazards(const isa::DecodedInstr &d, Cycle now) const
         switch (r.kind) {
           case isa::DecodedRead::Kind::Queue:
             if (!queueTab[r.queue]->canPop(now))
-                return StallCause::SrcEmpty;
+                return {StallCause::SrcEmpty, queueTab[r.queue]};
             break;
           case isa::DecodedRead::Kind::RegAy:
             if (regAyPending)
-                return StallCause::RegPending;
+                return {StallCause::RegPending, nullptr, &regAyPending};
             break;
           case isa::DecodedRead::Kind::Reg:
             if (regPending[r.reg])
-                return StallCause::RegPending;
+                return {StallCause::RegPending, nullptr,
+                        &regPending[r.reg]};
             break;
         }
     }
@@ -239,19 +242,37 @@ Cell::checkHazards(const isa::DecodedInstr &d, Cycle now) const
     // WAW interlock: a register with an in-flight write cannot be
     // written again until it lands.
     if (d.wawAy && regAyPending)
-        return StallCause::RegPending;
+        return {StallCause::RegPending, nullptr, &regAyPending};
     for (unsigned i = 0; i < d.numWawRegs; ++i) {
         if (regPending[d.wawRegs[i]])
-            return StallCause::RegPending;
+            return {StallCause::RegPending, nullptr,
+                    &regPending[d.wawRegs[i]]};
     }
 
     // Net space requirement per queue (pushes minus pops, precomputed).
     for (unsigned i = 0; i < d.numNeeds; ++i) {
         const auto &n = d.needs[i];
         if (queueTab[n.queue]->space() < std::size_t(n.amount))
-            return StallCause::DstFull;
+            return {StallCause::DstFull, queueTab[n.queue], nullptr,
+                    std::size_t(n.amount)};
     }
-    return StallCause::None;
+    return {};
+}
+
+bool
+Cell::Blocker::holds(Cycle now) const
+{
+    switch (cause) {
+      case StallCause::None:
+        break;
+      case StallCause::SrcEmpty:
+        return !queue->canPop(now);
+      case StallCause::RegPending:
+        return *pending;
+      case StallCause::DstFull:
+        return queue->space() < slots;
+    }
+    return false;
 }
 
 Word
@@ -369,63 +390,41 @@ Cell::drainWritebacks(Cycle now, sim::Engine &engine)
     // move issued after a long-latency FP op must not overtake it into
     // the same queue (the queues have one in-order write port). An
     // entry that cannot commit blocks its destinations for every later
-    // entry; entries commit atomically.
-    if (now < wbReadyAt)
-        return;
-    bool pushed[4] = {false, false, false, false};
-    bool blocked[4] = {false, false, false, false};
-    bool reg_blocked = false;
-    auto blockedFor = [&](const InFlight &w) {
-        if ((w.dstMask & isa::DstSum) && blocked[0])
-            return true;
-        if ((w.dstMask & isa::DstRet) && blocked[1])
-            return true;
-        if ((w.dstMask & isa::DstReby) && blocked[2])
-            return true;
-        if ((w.dstMask & isa::DstTpO) && blocked[3])
-            return true;
-        if ((w.dstMask & (isa::DstRegAy | isa::DstReg)) && reg_blocked)
-            return true;
-        return false;
-    };
-    auto blockFor = [&](const InFlight &w) {
-        if (w.dstMask & isa::DstSum)
-            blocked[0] = true;
-        if (w.dstMask & isa::DstRet)
-            blocked[1] = true;
-        if (w.dstMask & isa::DstReby)
-            blocked[2] = true;
-        if (w.dstMask & isa::DstTpO)
-            blocked[3] = true;
-        if (w.dstMask & (isa::DstRegAy | isa::DstReg))
-            reg_blocked = true;
-    };
-    for (std::size_t i = 0; i < inflight.size();) {
-        InFlight &w = inflight[i];
-        if (w.when > now || blockedFor(w)) {
-            blockFor(w);
-            ++i;
+    // entry; entries commit atomically. regay and the register file
+    // count as one destination.
+    //
+    // One pass: commit the due, unblocked entries, compact the rest in
+    // place in issue order and find the next landing cycle. tickAt
+    // calls it only from wbReadyAt on.
+    constexpr std::uint8_t regBits = isa::DstRegAy | isa::DstReg;
+    constexpr std::uint8_t queueBits =
+        isa::DstSum | isa::DstRet | isa::DstReby | isa::DstTpO;
+    std::uint8_t blocked = 0; // destinations held by a waiting entry
+    std::uint8_t pushed = 0;  // queues written this cycle
+    Cycle next = noEvent;
+    std::size_t kept = 0;
+    for (const InFlight &w : inflight) {
+        const std::uint8_t dst =
+            (w.dstMask & regBits) ? w.dstMask | regBits : w.dstMask;
+        if (w.when > now || (dst & blocked)) {
+            blocked |= dst;
+            next = std::min(next, w.when);
+            inflight[kept++] = w;
             continue;
         }
-        auto push = [&](TimedFifo &q, int pi) {
-            if (pushed[pi]) {
-                ++statWritePortConflicts;
-                opac_warn_once("%s: two writebacks into '%s' in one "
-                               "cycle (single write port modelled as "
-                               "free)", name().c_str(),
-                               q.name().c_str());
-            }
-            pushed[pi] = true;
-            q.pushReserved(w.value, now);
-        };
-        if (w.dstMask & isa::DstSum)
-            push(_sum, 0);
-        if (w.dstMask & isa::DstRet)
-            push(_ret, 1);
-        if (w.dstMask & isa::DstReby)
-            push(_reby, 2);
-        if (w.dstMask & isa::DstTpO)
-            push(_tpo, 3);
+        // The queue bits index queueTab (sum, ret, reby, tpo).
+        const std::uint8_t queues = w.dstMask & queueBits;
+        if (const std::uint8_t twice = queues & pushed) {
+            statWritePortConflicts += unsigned(std::popcount(twice));
+            opac_warn_once("%s: two writebacks into '%s' in one cycle "
+                           "(single write port modelled as free)",
+                           name().c_str(),
+                           queueTab[std::countr_zero(twice)]->name()
+                               .c_str());
+        }
+        pushed |= queues;
+        for (std::uint8_t m = queues; m != 0; m &= std::uint8_t(m - 1))
+            queueTab[std::countr_zero(m)]->pushReserved(w.value, now);
         if (w.dstMask & isa::DstRegAy) {
             regAy = w.value;
             regAyPending = false;
@@ -439,15 +438,11 @@ Cell::drainWritebacks(Cycle now, sim::Engine &engine)
                          w.dstMask, w.value);
         }
         engine.noteProgress();
-        inflight.erase(inflight.begin() + std::ptrdiff_t(i));
     }
+    inflight.resize(kept);
     // Entries left blocked behind a later `when` retry next cycle at
-    // the earliest; otherwise nothing can land before the minimum
-    // remaining `when`.
-    Cycle m = sim::Component::noEvent;
-    for (const InFlight &w : inflight)
-        m = std::min(m, w.when);
-    wbReadyAt = std::max(m, now + 1);
+    // the earliest.
+    wbReadyAt = std::max(next, now + 1);
 }
 
 /**
@@ -635,6 +630,16 @@ Cell::tickSequencer(Cycle now, sim::Engine &engine)
         break;
 
       case SeqState::Run: {
+        // A stalled instruction stays stalled while the check that
+        // failed still fails (Blocker): charge the stall again
+        // without the control step or the hazard scan.
+        if (blocker.cause != StallCause::None) {
+            if (blocker.holds(now)) {
+                stallCharge = emitStall(blocker.cause, now);
+                break;
+            }
+            blocker = {};
+        }
         if (!stepControl(now)) {
             engine.noteProgress(); // control scan is progress
             break;
@@ -642,14 +647,14 @@ Cell::tickSequencer(Cycle now, sim::Engine &engine)
         const isa::Instr &in = current->prog.at(pc);
         switch (in.op) {
           case Opcode::Compute: {
-            StallCause stall =
-                checkHazards(current->prog.decodedAt(pc), now);
-            if (stall == StallCause::None) {
-                issueCompute(in, current->prog.decodedAt(pc), now);
+            const isa::DecodedInstr &d = current->prog.decodedAt(pc);
+            blocker = checkHazards(d, now);
+            if (blocker.cause == StallCause::None) {
+                issueCompute(in, d, now);
                 ++pc;
                 engine.noteProgress();
             } else {
-                stallCharge = emitStall(stall, now);
+                stallCharge = emitStall(blocker.cause, now);
             }
             break;
           }
@@ -763,7 +768,8 @@ Cell::tickAt(Cycle now, sim::Engine &engine)
         clock.enter(&statHangCycles, nullptr, now);
         return;
     }
-    drainWritebacks(now, engine);
+    if (now >= wbReadyAt)
+        drainWritebacks(now, engine);
     tickSequencer(now, engine);
 }
 
@@ -866,6 +872,7 @@ Cell::hardReset(Cycle now)
     decodeLeft = 0;
     pmuCall = false;
     loopStack.clear();
+    blocker = {};
     inflight.clear();
     wbReadyAt = noEvent;
     regPending = {};
@@ -927,6 +934,7 @@ Cell::injectSpuriousHalt(Cycle now)
     paramsToRead = 0;
     pmuCall = false;
     loopStack.clear();
+    blocker = {};
 }
 
 void
@@ -1125,6 +1133,7 @@ Cell::loadState(snap::Reader &r, std::uint32_t version)
     // the clock restarts at the restored cycle (Engine::run settles).
     fastBodies.clear();
     burstBody = nullptr;
+    blocker = {};
     clock.stop();
 }
 

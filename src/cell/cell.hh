@@ -298,10 +298,35 @@ class Cell : public sim::Component
         PmuRespond, //!< pushing a PMU register value to tpo
     };
 
+    /**
+     * The first hazard check that failed for the instruction at pc:
+     * the queue whose front was not poppable, the pending flag of a
+     * register read or rewritten, or the queue short of slots. The
+     * next Run tick re-tests only this check, and while it fails
+     * charges the same stall without the control step or the full
+     * scan. That is exact: until the sequencer issues, pc stays put
+     * and every earlier check keeps passing, because only the cell's
+     * own issue pops, reserves or marks a register pending, a queue
+     * front only gets readier with time, and faultReorder swaps
+     * payloads, not ready times. A derived cache, never snapshotted.
+     */
+    struct Blocker
+    {
+        StallCause cause = StallCause::None;
+        const TimedFifo *queue = nullptr; //!< SrcEmpty, DstFull
+        const bool *pending = nullptr;    //!< RegPending
+        std::size_t slots = 0;            //!< DstFull: slots needed
+
+        /** True while the check still fails at @p now. */
+        bool holds(Cycle now) const;
+    };
+
     // -- helpers -------------------------------------------------------
     TimedFifo *queueFor(isa::Src s);
     Word readOperand(const isa::Operand &op, Cycle now, Word mul_out);
-    StallCause checkHazards(const isa::DecodedInstr &d, Cycle now) const;
+    /** The first failing hazard check, or cause None when @p d can
+     *  issue at @p now. */
+    Blocker checkHazards(const isa::DecodedInstr &d, Cycle now) const;
     void issueCompute(const isa::Instr &in, const isa::DecodedInstr &d,
                       Cycle now);
     stats::Counter *emitStall(StallCause cause, Cycle now);
@@ -397,6 +422,13 @@ class Cell : public sim::Component
         std::uint32_t remaining;  //!< iterations left after current
     };
     std::vector<LoopFrame> loopStack;
+    /**
+     * Why the instruction at pc stalled on the last Run tick (cause
+     * None once it issues). Cleared where pc or the sequencer moves
+     * outside a Run tick: hardReset, injectSpuriousHalt, loadState,
+     * loadMicrocode and burstRun.
+     */
+    Blocker blocker;
 
     // -- fault state -----------------------------------------------------
     bool _faulted = false; //!< frozen until hardReset()
@@ -413,8 +445,8 @@ class Cell : public sim::Component
     std::vector<InFlight> inflight;
     /**
      * Lower bound on the cycle at which any inflight writeback can
-     * commit; drainWritebacks returns immediately before it. Updated
-     * on scheduleWrite and after every drain pass.
+     * commit; tickAt skips drainWritebacks before it. Updated on
+     * scheduleWrite and after every drain pass.
      */
     Cycle wbReadyAt = sim::Component::noEvent;
 

@@ -336,6 +336,8 @@ Cell::burstRun(Cycle from, Cycle cycles, sim::Engine &engine,
     statFtBurstIssued += statIssued.value() - issued0;
     statFtBurstIters += remaining0 - loopStack.back().remaining;
     burstBody = nullptr;
+    // turboRun moves pc without the interpreter's issue path.
+    blocker = {};
 }
 
 } // namespace opac::cell
