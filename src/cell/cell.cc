@@ -399,6 +399,11 @@ Cell::drainWritebacks(Cycle now, sim::Engine &engine)
     constexpr std::uint8_t regBits = isa::DstRegAy | isa::DstReg;
     constexpr std::uint8_t queueBits =
         isa::DstSum | isa::DstRet | isa::DstReby | isa::DstTpO;
+    static_assert(isa::DstSum == 1 << unsigned(isa::CellQueue::Sum)
+                      && isa::DstRet == 1 << unsigned(isa::CellQueue::Ret)
+                      && isa::DstReby == 1 << unsigned(isa::CellQueue::Reby)
+                      && isa::DstTpO == 1 << unsigned(isa::CellQueue::TpO),
+                  "queue destination bits index queueTab");
     std::uint8_t blocked = 0; // destinations held by a waiting entry
     std::uint8_t pushed = 0;  // queues written this cycle
     Cycle next = noEvent;
@@ -412,7 +417,6 @@ Cell::drainWritebacks(Cycle now, sim::Engine &engine)
             inflight[kept++] = w;
             continue;
         }
-        // The queue bits index queueTab (sum, ret, reby, tpo).
         const std::uint8_t queues = w.dstMask & queueBits;
         if (const std::uint8_t twice = queues & pushed) {
             statWritePortConflicts += unsigned(std::popcount(twice));

@@ -40,14 +40,6 @@ enum class Workload
 inline constexpr Workload kAllLoads[] = {Workload::MatUpdate, Workload::Lu,
                                          Workload::Trmm, Workload::Syrk};
 
-/**
- * The signal loads: conv2d's reload pass issues `fma -> sum` together
- * with `move tpx -> reby`, so results land out of issue order, and the
- * FFT's register butterflies stall on pending register writes.
- */
-inline constexpr Workload kSignalLoads[] = {Workload::Conv2d,
-                                            Workload::Fft};
-
 inline const char *
 workloadName(Workload w)
 {
