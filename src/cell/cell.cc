@@ -186,6 +186,8 @@ Cell::loadMicrocode(Word entry, isa::Program prog, unsigned nparams)
     // Reloading an entry reuses the map node, so cached body analyses
     // keyed on the Kernel address would go stale: drop them all.
     fastBodies.clear();
+    for (LoopFrame &f : loopStack)
+        f.fastBody = noFastBody;
     burstBody = nullptr;
     blocker = {};
     if (tracer)

@@ -172,6 +172,14 @@ class Cell : public sim::Component
     void burstRun(Cycle from, Cycle cycles, sim::Engine &engine,
                   std::uint64_t *progress_bits) override;
 
+    /** A cell never reaches into another component's state: it only
+     *  moves words through its own interface queues. */
+    Cycle intrudesAt(Cycle now) const override
+    {
+        (void)now;
+        return noEvent;
+    }
+
     /**
      * Snapshot support: serialize the full architectural state —
      * registers, sequencer, loop stack, in-flight pipeline results,
@@ -372,8 +380,9 @@ class Cell : public sim::Component
         isa::Operand turboMulB{};       //!< register/constant operand
         isa::AddOp turboAddOp = isa::AddOp::Add;
     };
-    /** Analyze (or fetch the cached analysis of) the innermost body. */
-    const FastBody *fastBodyFor(std::size_t body_pc);
+    /** Index in fastBodies of the analysis of the loop body at
+     *  @p body_pc in the running kernel, analyzing it on first use. */
+    std::uint32_t fastBodyFor(std::size_t body_pc);
 
     /**
      * Specialized executor for a FastBody::turbo body: execute up to
@@ -416,10 +425,16 @@ class Cell : public sim::Component
     bool pmuCall = false; //!< the current tpi call is a PMU read
     std::array<std::int32_t, isa::numParams> params{};
 
+    /** LoopFrame::fastBody before the frame's first burst probe. */
+    static constexpr std::uint32_t noFastBody = ~std::uint32_t(0);
+
     struct LoopFrame
     {
         std::size_t bodyPc;       //!< first instruction of the body
         std::uint32_t remaining;  //!< iterations left after current
+        /** The body's analysis, an index into fastBodies, cached by
+         *  the first burstQuantum() of this loop entry. */
+        std::uint32_t fastBody = noFastBody;
     };
     std::vector<LoopFrame> loopStack;
     /**
@@ -437,7 +452,8 @@ class Cell : public sim::Component
     Cycle hangUntil = 0;   //!< frozen while now < hangUntil
     std::string faultWhy;  //!< what flagged the fault (status line)
 
-    /** Analyzed loop bodies, invalidated by loadMicrocode(). */
+    /** Analyzed loop bodies, invalidated (with every loop frame's
+     *  index into them) by loadMicrocode(). */
     std::vector<FastBody> fastBodies;
     /** Body validated by the burstQuantum() that granted the window. */
     const FastBody *burstBody = nullptr;

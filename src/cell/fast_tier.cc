@@ -37,7 +37,9 @@
  *    window instead of blocking it.
  *
  * Eligibility ("compilation") is a one-time analysis per loop body,
- * cached in Cell::fastBodies and invalidated by loadMicrocode():
+ * cached in Cell::fastBodies and invalidated by loadMicrocode(); each
+ * loop frame keeps the index of its body's analysis from its first
+ * probe, so burstQuantum() searches nothing while the loop runs:
  *
  *  - every instruction in [bodyPc, endPc) is a Compute op (no nested
  *    LoopBegin, no SetParam / ResetFifo / Halt — the body is the
@@ -52,6 +54,8 @@
  */
 
 #include "cell/cell.hh"
+
+#include <algorithm>
 
 #include "common/logging.hh"
 
@@ -102,12 +106,13 @@ isScalarOperand(Src s)
 
 } // namespace
 
-const Cell::FastBody *
+std::uint32_t
 Cell::fastBodyFor(std::size_t body_pc)
 {
-    for (const FastBody &b : fastBodies) {
-        if (b.kernel == current && b.bodyPc == body_pc)
-            return &b;
+    for (std::size_t i = 0; i < fastBodies.size(); ++i) {
+        if (fastBodies[i].kernel == current
+            && fastBodies[i].bodyPc == body_pc)
+            return std::uint32_t(i);
     }
 
     FastBody b{current, body_pc, body_pc, false};
@@ -166,7 +171,7 @@ Cell::fastBodyFor(std::size_t body_pc)
     else
         ++statFtIneligible;
     fastBodies.push_back(b);
-    return &fastBodies.back();
+    return std::uint32_t(fastBodies.size() - 1);
 }
 
 std::uint64_t
@@ -255,21 +260,30 @@ Cell::burstQuantum(Cycle now)
         ++statFtFallbackObserver;
         return 0;
     }
-    const LoopFrame &f = loopStack.back();
-    const FastBody *b = fastBodyFor(f.bodyPc);
-    if (!b->eligible) {
-        ++statFtFallbackBody;
-        return 0;
+    // The body's analysis is looked up once per loop entry, and a
+    // refused body is counted once per entry, not once per probe.
+    LoopFrame &f = loopStack.back();
+    if (f.fastBody == noFastBody) {
+        f.fastBody = fastBodyFor(f.bodyPc);
+        if (!fastBodies[f.fastBody].eligible)
+            ++statFtFallbackBody;
     }
+    const FastBody *b = &fastBodies[f.fastBody];
+    if (!b->eligible)
+        return 0;
     if (pc < b->bodyPc || pc > b->endPc)
         return 0;
-    // A result already in flight toward tpo would mutate an interface
-    // queue mid-window; wait for it to land on the per-cycle path.
-    for (const InFlight &w : inflight) {
-        if (w.dstMask & isa::DstTpO) {
-            ++statFtFallbackInflight;
-            return 0;
-        }
+    // A result in flight toward tpo would mutate an interface queue
+    // mid-window, and a word still falling through tpo would become
+    // visible to the host inside it: wait for both on the per-cycle
+    // path.
+    if (!_tpo.fallenThrough(now)
+        || std::any_of(inflight.begin(), inflight.end(),
+                       [](const InFlight &w) {
+                           return w.dstMask & isa::DstTpO;
+                       })) {
+        ++statFtFallbackInflight;
+        return 0;
     }
 
     // The quantum is the number of issues left in the loop region:

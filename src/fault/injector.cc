@@ -1,7 +1,5 @@
 #include "fault/injector.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 #include "snap/snapshot.hh"
 
@@ -45,11 +43,11 @@ Injector::tick(sim::Engine &engine)
 Cycle
 Injector::nextEventAt(Cycle now) const
 {
-    if (next >= plan.size())
-        return noEvent;
-    // tick() at `now` consumed everything due, so this is in the
-    // future; clamp defensively anyway.
-    return std::max(plan[next].at, now + 1);
+    // The engine asks before the round at `now`; every earlier round's
+    // tick() consumed what was due then, so a fault due at `now` is
+    // this round's event.
+    (void)now;
+    return next < plan.size() ? plan[next].at : noEvent;
 }
 
 void

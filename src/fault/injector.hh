@@ -9,10 +9,11 @@
  * hangs). Keeping the routing in the Coprocessor keeps this library
  * free of fifo/cell/host dependencies.
  *
- * Fast-forward correctness: nextEventAt() reports the cycle of the
- * next unarmed fault, so the engine's idle-cycle skipping can never
- * jump over an injection — faulted runs are cycle-identical under
- * --engine=spin and --engine=skip. Arming a fault is deliberately
+ * Fast-forward correctness: nextEventAt() and intrudesAt() report the
+ * cycle of the next unarmed fault, so neither the engine's idle-cycle
+ * skipping nor a burst window can run past an injection — faulted
+ * runs are cycle-identical under --engine=spin and --engine=skip, with
+ * the fast tier on or off. Arming a fault is deliberately
  * *not* engine progress: a fault landing in a quiescent window must
  * not keep the watchdog alive by itself.
  */
@@ -53,6 +54,8 @@ class Injector : public sim::Component
     void tick(sim::Engine &engine) override;
     bool done() const override { return true; }
     Cycle nextEventAt(Cycle now) const override;
+    /** A fault reaches into a cell's or the host's state when armed. */
+    Cycle intrudesAt(Cycle now) const override { return nextEventAt(now); }
     std::string statusLine() const override;
 
     /**

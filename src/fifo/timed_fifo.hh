@@ -147,20 +147,40 @@ class TimedFifo
      * queue's per-call bookkeeping for a burst window starting at
      * @p from: plain words (parity Off, so stored check bits are 0 and
      * reads verify nothing), no tracer, no armed injector fault, and
-     * every stored entry already fallen through by @p from. The last
-     * condition checks only the newest entry: `ready` is nondecreasing
-     * along the ring because every mutator stamps `now + latency` with
-     * nondecreasing `now`. `count >= latency` additionally guarantees
-     * that a word pushed mid-window is ready again by the time the
-     * steady one-push-one-pop rotation returns to it.
+     * every stored entry already fallen through by @p from.
+     * `count >= latency` additionally guarantees that a word pushed
+     * mid-window is ready again by the time the steady
+     * one-push-one-pop rotation returns to it.
      */
     bool
     streamable(Cycle from) const
     {
         return parityMode == fault::ParityMode::Off && !tracer
                && pendingCorrupt == 0 && !pendingReorder
-               && count >= latency && count != 0
-               && ring[(head + count - 1) & mask].ready <= from;
+               && count >= latency && count != 0 && fallenThrough(from);
+    }
+
+    /**
+     * True when no stored word is still falling through at @p now:
+     * every one is poppable. Only the newest entry needs checking:
+     * `ready` is nondecreasing along the ring because every mutator
+     * stamps `now + latency` with nondecreasing `now`.
+     */
+    bool
+    fallenThrough(Cycle now) const
+    {
+        return count == 0 || ring[(head + count - 1) & mask].ready <= now;
+    }
+
+    /**
+     * True when the next push could call the protection handler: a
+     * reorder is armed on a protected queue, and the modeled sequence
+     * tags report it the moment a push applies it.
+     */
+    bool
+    pushMayFault() const
+    {
+        return pendingReorder && parityMode != fault::ParityMode::Off;
     }
 
     /**

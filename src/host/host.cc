@@ -203,7 +203,18 @@ Host::enqueue(HostOp op)
     if (op.kind == HostOp::Kind::Compute)
         opac_assert(op.scalarDst < mem.size() && op.scalarSrc < mem.size(),
                     "compute op out of memory range");
+    if (op.kind == HostOp::Kind::Reset)
+        ++resetOps;
     program.push_back(std::move(op));
+}
+
+void
+Host::countResetOps()
+{
+    resetOps = std::size_t(std::count_if(
+        program.begin(), program.end(), [](const HostOp &op) {
+            return op.kind == HostOp::Kind::Reset;
+        }));
 }
 
 void
@@ -522,6 +533,7 @@ Host::recoverTxn(Cycle now, sim::Engine &engine)
         }
         journal.clear();
         program.clear();
+        resetOps = 0;
         pos = 0;
         computeLeft = 0;
         opAnnounced = false;
@@ -557,6 +569,7 @@ Host::recoverTxn(Cycle now, sim::Engine &engine)
     // descriptor restarts from its first word.
     for (auto it = journal.rbegin(); it != journal.rend(); ++it)
         program.push_front(*it);
+    countResetOps();
     journal.clear();
     pos = 0;
     computeLeft = 0;
@@ -683,6 +696,8 @@ Host::tick(sim::Engine &engine)
         if (inTxn && op.kind != HostOp::Kind::TxnBegin
             && op.kind != HostOp::Kind::TxnEnd)
             journal.push_back(program.front());
+        if (op.kind == HostOp::Kind::Reset)
+            --resetOps;
         program.pop_front();
         pos = 0;
         computeLeft = 0;
@@ -751,6 +766,23 @@ Host::nextEventAt(Cycle now) const
     // tpo): only a cell action can unblock us — or, inside a
     // transaction, the recovery deadline.
     return wake;
+}
+
+Cycle
+Host::intrudesAt(Cycle now) const
+{
+    if (program.empty())
+        return noEvent;
+    if (cfg.recovery.enabled || resetOps != 0)
+        return now;
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+        if (busDrops[c] != 0 || busDups[c] != 0
+            || cells[c]->tpx().pushMayFault()
+            || cells[c]->tpy().pushMayFault()
+            || cells[c]->tpi().pushMayFault())
+            return now;
+    }
+    return noEvent;
 }
 
 void
@@ -948,6 +980,7 @@ Host::loadState(snap::Reader &r, std::uint32_t version)
     std::uint32_t nprog = r.u32();
     for (std::uint32_t i = 0; i < nprog; ++i)
         program.push_back(loadOp(r));
+    countResetOps();
     pos = std::size_t(r.u64());
     cooldown = r.u32();
     computeLeft = r.u32();

@@ -173,6 +173,17 @@ class Host : public sim::Component
     void fastForward(Cycle from, Cycle cycles,
                      sim::Engine &engine) override;
 
+    /**
+     * The host reaches into a cell only by a reset line — a queued
+     * Reset, or with recovery on a retry or degradation that the next
+     * tpo word, parity trip or deadline may trigger — or when a
+     * protected link flags a fault at a push: an armed bus drop or
+     * duplicate, or an armed reorder on a protected interface queue.
+     * Returns `now` while any of these is possible, noEvent otherwise:
+     * pacing words through the interface queues never intrudes.
+     */
+    Cycle intrudesAt(Cycle now) const override;
+
     /** Credit the busy and stall clock through @p now - 1. */
     void settle(Cycle now) override { clock.settle(now); }
 
@@ -260,6 +271,9 @@ class Host : public sim::Component
     /** Abort the open transaction: reset, replay — or degrade. */
     void recoverTxn(Cycle now, sim::Engine &engine);
 
+    /** Recount resetOps after program was rebuilt wholesale. */
+    void countResetOps();
+
     /** Retry budget exhausted: pick the culprit cell to mark dead. */
     unsigned blameCell() const;
 
@@ -278,6 +292,7 @@ class Host : public sim::Component
     std::vector<cell::Cell *> cells;
 
     std::deque<HostOp> program;
+    std::size_t resetOps = 0;  //!< Reset descriptors in program
     std::size_t pos = 0;       //!< word index within the current op
     unsigned cooldown = 0;     //!< cycles until the next memory access
     unsigned computeLeft = 0;  //!< remaining cycles of a Compute op

@@ -121,62 +121,71 @@ Engine::loadState(snap::Reader &r)
     lastProgress = cycle;
 }
 
-bool
-Engine::attemptBurst(Cycle start, Cycle max_cycles)
+Cycle
+Engine::deadlineBound(Cycle start, Cycle max_cycles) const
 {
-    ++_burstAttempts;
-    const unsigned n = static_cast<unsigned>(components.size());
-
-    // Who can burst, and for how long? The window is the smallest
-    // granted quantum.
-    burstSlots_.clear();
     Cycle w = Component::noEvent;
-    for (unsigned s = 0; s < n; ++s) {
-        Cycle q = components[s]->burstQuantum(cycle);
-        if (q > 0) {
-            burstSlots_.push_back(s);
-            w = std::min(w, q);
-        }
-    }
-    if (burstSlots_.empty()) {
-        burstFailed(cycle);
-        return false;
-    }
-
-    // Everyone else must be provably passive across the window: no
-    // progress attributed in the round just executed, and a
-    // nextEventAt hint strictly in the future (which then bounds the
-    // window — the hint is valid precisely because the bursters touch
-    // nothing the passive component observes). The stats sampler's
-    // hint is its next boundary, so every sample sees live counters.
-    auto passiveFail = [&] {
-        burstFailed(cycle);
-        return false;
-    };
-    unsigned nburst = 0;
-    for (unsigned s = 0; s < n; ++s) {
-        if (nburst < burstSlots_.size() && burstSlots_[nburst] == s) {
-            ++nburst;
-            continue;
-        }
-        if (slotProg_[s])
-            return passiveFail();
-        Cycle at = components[s]->nextEventAt(cycle);
-        if (at <= cycle)
-            return passiveFail();
-        w = std::min(w, at - cycle);
-    }
-
-    // Deadline clamps, same as the skip jump: the watchdog and
-    // max_cycles must fire at exactly the cycle a spin run reaches
-    // them.
     if (watchdogCycles != 0)
         w = std::min(w, lastProgress + watchdogCycles - cycle);
     if (max_cycles != 0)
         w = std::min(w, start + max_cycles - cycle);
     if (stopAt_ != cycleNever)
         w = std::min(w, stopAt_ - cycle);
-    if (w < minBurstCycles) {
+    return w;
+}
+
+bool
+Engine::attemptBurst(Cycle start, Cycle max_cycles)
+{
+    ++_burstAttempts;
+    const unsigned n = static_cast<unsigned>(components.size());
+
+    // Who can burst, and for how long? A shared window is the
+    // smallest granted quantum.
+    grants_.clear();
+    Cycle w = Component::noEvent;
+    for (unsigned s = 0; s < n; ++s) {
+        if (openWindows_ != 0 && inWindow(s))
+            continue;
+        Cycle q = components[s]->burstQuantum(cycle);
+        if (q > 0) {
+            grants_.push_back({s, q});
+            w = std::min(w, q);
+        }
+    }
+    if (grants_.empty()) {
+        burstFailed(cycle);
+        return false;
+    }
+    const Cycle deadline = deadlineBound(start, max_cycles);
+
+    // Shared window: everyone else must be provably passive across it
+    // — no progress attributed in the round just executed, and a
+    // nextEventAt hint strictly in the future (which then bounds the
+    // window: the hint is valid precisely because the bursters touch
+    // nothing the passive component observes). A component running
+    // ahead in a cell-local window is not passive. The stats
+    // sampler's hint is its next boundary, so every sample sees live
+    // counters. Where that fails, the bursters may still stream
+    // alone.
+    bool passive = openWindows_ == 0;
+    unsigned nburst = 0;
+    for (unsigned s = 0; passive && s < n; ++s) {
+        if (nburst < grants_.size() && grants_[nburst].slot == s) {
+            ++nburst;
+            continue;
+        }
+        const Cycle at =
+            slotProg_[s] ? cycle : components[s]->nextEventAt(cycle);
+        if (at <= cycle)
+            passive = false;
+        else
+            w = std::min(w, at - cycle);
+    }
+    w = std::min(w, deadline);
+    if (!passive || w < minBurstCycles) {
+        if (openLocalWindows(deadline))
+            return true;
         burstFailed(cycle);
         return false;
     }
@@ -185,13 +194,13 @@ Engine::attemptBurst(Cycle start, Cycle max_cycles)
     // window; the order is immaterial because the bursters touch no
     // state the passives observe (the burstQuantum contract).
     burstBits_.assign(std::size_t((w + 63) / 64), 0);
-    for (unsigned s : burstSlots_) {
-        tickSlot_ = s;
-        components[s]->burstRun(cycle, w, *this, burstBits_.data());
+    for (const Grant &g : grants_) {
+        tickSlot_ = g.slot;
+        components[g.slot]->burstRun(cycle, w, *this, burstBits_.data());
     }
     nburst = 0;
     for (unsigned s = 0; s < n; ++s) {
-        if (nburst < burstSlots_.size() && burstSlots_[nburst] == s) {
+        if (nburst < grants_.size() && grants_[nburst].slot == s) {
             ++nburst;
             continue;
         }
@@ -215,6 +224,7 @@ Engine::attemptBurst(Cycle start, Cycle max_cycles)
     }
     if (lastSet >= 0)
         lastProgress = cycle + Cycle(lastSet) + 1;
+    lastLiveProgress_ = lastProgress;
     cycle += w;
     statCycles += w;
     statIdleCycles += w - busy;
@@ -236,6 +246,100 @@ Engine::burstFailed(Cycle at)
     }
     ++burstFailStreak_;
     nextBurstTry_ = at + d;
+}
+
+bool
+Engine::openLocalWindows(Cycle bound)
+{
+    // A burster touches nothing another component observes, so the
+    // others may keep ticking through its window; it only needs the
+    // assurance that nobody reaches into its own state before the
+    // window ends. Cells report noEvent, so this is the earliest stats
+    // sample, injected fault or host reset.
+    for (const Component *c : components) {
+        const Cycle at = c->intrudesAt(cycle);
+        if (at <= cycle)
+            return false;
+        if (at != Component::noEvent)
+            bound = std::min(bound, at - cycle);
+    }
+    if (bound < minBurstCycles)
+        return false;
+    bool opened = false;
+    for (const Grant &g : grants_) {
+        const Cycle w = std::min(g.quantum, bound);
+        if (w < minBurstCycles)
+            continue;
+        Window &win = windows_[g.slot];
+        win.start = cycle;
+        win.end = cycle + w;
+        win.bits.assign(std::size_t((w + 63) / 64), 0);
+        tickSlot_ = g.slot;
+        components[g.slot]->burstRun(cycle, w, *this, win.bits.data());
+        ++openWindows_;
+        windowsClose_ = std::min(windowsClose_, win.end);
+        _burstCycles += w;
+        opened = true;
+    }
+    if (!opened)
+        return false;
+    ++_bursts;
+    nextBurstTry_ = cycle;
+    burstFailStreak_ = 0;
+    return true;
+}
+
+bool
+Engine::tickAroundWindows()
+{
+    bool any = false;
+    const unsigned n = static_cast<unsigned>(components.size());
+    for (unsigned s = 0; s < n; ++s) {
+        const Window &win = windows_[s];
+        if (cycle < win.end) {
+            const Cycle k = cycle - win.start;
+            if ((win.bits[k >> 6] >> (k & 63)) & 1) {
+                any = true;
+                slotProg_[s] = 1;
+            }
+            continue;
+        }
+        tickSlot_ = s;
+        components[s]->tick(*this);
+    }
+    return any;
+}
+
+Cycle
+Engine::windowBusyRounds(Cycle n)
+{
+    Cycle busy = 0;
+    for (Cycle c = cycle; c < cycle + n; ++c) {
+        for (const Window &win : windows_) {
+            if (c >= win.start && c < win.end) {
+                const Cycle k = c - win.start;
+                if ((win.bits[k >> 6] >> (k & 63)) & 1) {
+                    ++busy;
+                    lastProgress = c + 1;
+                    break;
+                }
+            }
+        }
+    }
+    return busy;
+}
+
+void
+Engine::closeWindows()
+{
+    openWindows_ = 0;
+    windowsClose_ = cycleNever;
+    for (const Window &win : windows_) {
+        if (win.end > cycle) {
+            ++openWindows_;
+            windowsClose_ = std::min(windowsClose_, win.end);
+        }
+    }
 }
 
 Cycle
@@ -270,11 +374,18 @@ Engine::run(Cycle max_cycles)
         nextBurstTry_ = cycle;
         burstFailStreak_ = 0;
     }
+    // Every exit comes after the last window closed: windows end no
+    // later than the watchdog, max_cycles and stopAt_ deadlines.
+    windows_.assign(n, Window{});
+    openWindows_ = 0;
+    windowsClose_ = cycleNever;
+    lastLiveProgress_ = lastProgress;
     auto watchdogExpired = [&] {
         if (watchdogHandler && watchdogHandler(*this)) {
             // A recovery handler claimed the expiry; restart the count
             // and give the machine another watchdog period to react.
             lastProgress = cycle;
+            lastLiveProgress_ = cycle;
             return;
         }
         throw DeadlockError(
@@ -293,20 +404,27 @@ Engine::run(Cycle max_cycles)
                        statusDump().c_str());
         }
         progressed = false;
+        bool windowProgress = false;
         if (burst)
             std::fill(slotProg_.begin(), slotProg_.end(),
                       std::uint8_t(0));
-        for (unsigned s = 0; s < n; ++s) {
-            tickSlot_ = s;
-            components[s]->tick(*this);
+        if (openWindows_ == 0) {
+            for (unsigned s = 0; s < n; ++s) {
+                tickSlot_ = s;
+                components[s]->tick(*this);
+            }
+        } else {
+            windowProgress = tickAroundWindows();
         }
         ++cycle;
         ++statCycles;
+        if (openWindows_ != 0 && cycle >= windowsClose_)
+            closeWindows();
         if (progressed) {
             lastProgress = cycle;
+            lastLiveProgress_ = cycle;
             // A streaming component is the burst opportunity: try to
-            // hand it a multi-cycle quantum while everyone else is
-            // provably passive.
+            // hand it a multi-cycle quantum.
             if (burst && cycle >= nextBurstTry_
                 && attemptBurst(start, max_cycles)
                 && watchdogCycles != 0
@@ -314,24 +432,34 @@ Engine::run(Cycle max_cycles)
                 watchdogExpired();
             continue;
         }
-        ++statIdleCycles;
-        if (watchdogCycles != 0 && cycle - lastProgress >= watchdogCycles)
-            watchdogExpired();
+        if (windowProgress) {
+            lastProgress = cycle;
+        } else {
+            ++statIdleCycles;
+            if (watchdogCycles != 0
+                && cycle - lastProgress >= watchdogCycles)
+                watchdogExpired();
+        }
         // Attempt a jump only after two consecutive quiescent rounds:
         // workloads that alternate progress and one-cycle stalls (a
         // host feeding at tau = 2) would otherwise pay for hint
         // computation every other cycle and never skip anything.
-        if (!skip || cycle - lastProgress < 2)
+        if (!skip || cycle - lastLiveProgress_ < 2)
             continue;
 
         // Quiescent round: every cycle until the earliest next-event
         // hint is an exact replica of the round just executed, so the
-        // clock can jump there directly. The jump is clamped to the
+        // clock can jump there directly. A component in a cell-local
+        // window already ran those rounds and gives no hint: its
+        // window touches nothing the others observe. The jump stops
+        // where the first window closes, and is clamped to the
         // watchdog and max_cycles deadlines so both fire at exactly
         // the cycle the spin-mode run would reach them.
-        Cycle target = Component::noEvent;
-        for (const auto *c : components) {
-            Cycle at = c->nextEventAt(cycle);
+        Cycle target = windowsClose_;
+        for (unsigned s = 0; s < n; ++s) {
+            if (openWindows_ != 0 && inWindow(s))
+                continue;
+            Cycle at = components[s]->nextEventAt(cycle);
             if (at <= cycle) {
                 target = cycle;
                 break;
@@ -350,22 +478,31 @@ Engine::run(Cycle max_cycles)
             continue;
 
         Cycle skip_n = target - cycle;
+        Cycle busy = 0;
         if (_tracer) {
             // Cycle-major replay keeps trace event order identical to
-            // the spin-mode stream.
+            // the spin-mode stream. (Traced runs never open windows.)
             for (Cycle k = 0; k < skip_n; ++k) {
                 for (auto *c : components)
                     c->fastForward(cycle + k, 1, *this);
             }
-        } else {
+        } else if (openWindows_ == 0) {
             for (auto *c : components)
                 c->fastForward(cycle, skip_n, *this);
+        } else {
+            for (unsigned s = 0; s < n; ++s) {
+                if (!inWindow(s))
+                    components[s]->fastForward(cycle, skip_n, *this);
+            }
+            busy = windowBusyRounds(skip_n);
         }
         cycle = target;
         statCycles += skip_n;
-        statIdleCycles += skip_n;
+        statIdleCycles += skip_n - busy;
         ++_fastForwards;
         _skippedCycles += skip_n;
+        if (openWindows_ != 0 && cycle >= windowsClose_)
+            closeWindows();
         if (watchdogCycles != 0 && cycle - lastProgress >= watchdogCycles)
             watchdogExpired();
     }

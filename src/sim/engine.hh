@@ -29,9 +29,26 @@
  *          default), which disables skipping while it is live;
  *          `noEvent` means it only ever reacts to other components.
  *          With the fast tier on and no tracer attached, Skip also
- *          hands a streaming component a multi-cycle burst quantum
- *          while every other component is provably passive
- *          (burstQuantum / burstRun).
+ *          runs a streaming component's burst quantum (burstQuantum /
+ *          burstRun) in one step, under one of two window rules:
+ *
+ *          - shared: every other component is provably passive (no
+ *            progress last round, a future nextEventAt hint). The
+ *            window ends at the earliest hint, the bursters run it
+ *            and the clock jumps over it, the passives fast-forward;
+ *          - cell-local: no other component can intrude on the
+ *            burster's non-interface state before the window ends
+ *            (intrudesAt). The burster runs the window ahead at
+ *            once and is not ticked until it ends, while everyone
+ *            else keeps ticking live. Its progress in each of those
+ *            rounds comes from the window's bitmap, so idle and
+ *            watchdog accounting stay exact, and the clock still
+ *            jumps whenever every component outside a window is
+ *            passive.
+ *
+ *          The shared rule is tried first; the cell-local one covers
+ *          the phases where others stay live — a host pacing the bus
+ *          while cells stream their local loops.
  *
  * Time statistics — busy, idle, stall and hang cycles, FIFO occupancy
  * — are credited when a component's state changes, not per tick
@@ -120,9 +137,11 @@ class Component
      * every replayed round is an exact replica of the quiescent round
      * that preceded the jump, and time statistics need no replay: the
      * state that round entered carries across the window (see
-     * settle()). When a tracer is attached the engine calls this once
-     * per skipped cycle (cycles == 1, cycle-major across components)
-     * so trace event order is preserved exactly.
+     * settle()). A component running ahead in a cell-local window is
+     * not replayed: it already ran those rounds. When a tracer is
+     * attached the engine calls this once per skipped cycle
+     * (cycles == 1, cycle-major across components) so trace event
+     * order is preserved exactly.
      */
     virtual void fastForward(Cycle from, Cycle cycles, Engine &engine)
     {
@@ -130,6 +149,21 @@ class Component
         (void)cycles;
         (void)engine;
     }
+
+    /**
+     * Earliest cycle at which this component could read or change
+     * another component's non-interface state — sequencer, registers,
+     * local queues, fault latches, statistics — whatever the other
+     * components do: a stats sample, an armed fault, a reset line, a
+     * protected link faulting its cell. Words moved through a cell's
+     * interface queues do not count; a cell in a burst window touches
+     * none of them. Bounds the cell-local burst windows, which run one
+     * component ahead while the others keep ticking. Return `now`
+     * when this cannot be bounded (the default: no cell-local window
+     * while this component is registered), noEvent when this
+     * component never reaches into another's state.
+     */
+    virtual Cycle intrudesAt(Cycle now) const { return now; }
 
     /**
      * Superop fast tier: number of cycles this component could
@@ -140,9 +174,12 @@ class Component
      * means "cannot burst". A positive quantum is a guarantee: for
      * any engine grant w <= the quantum, burstRun(now, w, ...)
      * reproduces byte-exactly what w consecutive live tick() rounds
-     * would have done, and every externally observable queue stays
-     * untouched for the whole window. Only consulted when the
-     * engine's fast tier is on and no tracer is attached.
+     * would have done, every externally observable queue stays
+     * untouched for the whole window, and nothing the component did
+     * before the window becomes visible to another component inside
+     * it (no queue word still falling through toward a consumer).
+     * Only consulted when the engine's fast tier is on and no tracer
+     * is attached.
      */
     virtual Cycle burstQuantum(Cycle now)
     {
@@ -155,11 +192,12 @@ class Component
      * @p from, against a preceding burstQuantum(from) guarantee. Must
      * leave every counter, FIFO and architectural register exactly as
      * @p cycles live tick() rounds would have, in a window where no
-     * other component acts. For each bulk cycle from + k in which a
-     * live tick would have reported progress, set bit k in
+     * other component intrudes (see intrudesAt; in a shared window
+     * nobody else acts at all). For each bulk cycle from + k in which
+     * a live tick would have reported progress, set bit k in
      * @p progress_bits (an engine-owned bitmap of at least @p cycles
-     * bits, shared by all bursting components) — the engine derives
-     * idle-cycle and watchdog accounting from it.
+     * bits, shared by the bursters of a shared window) — the engine
+     * derives idle-cycle and watchdog accounting from it.
      */
     virtual void burstRun(Cycle from, Cycle cycles, Engine &engine,
                           std::uint64_t *progress_bits)
@@ -360,6 +398,9 @@ class Engine
     /**
      * Fast-tier diagnostics, unregistered for the same reason: burst
      * engagement depends on the run mode, the stats JSON must not.
+     * bursts() counts successful attempts (a shared window, or one or
+     * more cell-local windows opened together); burstCycles() sums
+     * the windows' lengths.
      */
     std::uint64_t burstAttempts() const { return _burstAttempts; }
     std::uint64_t bursts() const { return _bursts; }
@@ -367,15 +408,52 @@ class Engine
 
   private:
     /**
-     * Superop burst: collect every component granting a quantum, prove
-     * the rest passive for the window (no progress attributed in the
-     * round just executed and a future-only nextEventAt hint), execute
-     * the bursters in bulk and fast-forward the passives. Returns true
-     * when a burst ran (the clock advanced); the caller re-checks the
-     * watchdog. @p start / @p max_cycles clamp the window to the run
-     * deadline.
+     * Superop burst: collect every component outside a window granting
+     * a quantum. When no window is open and the rest are passive for
+     * the window (no progress attributed in the round just executed
+     * and a future-only nextEventAt hint), execute the bursters in
+     * bulk, fast-forward the passives and advance the clock (shared
+     * window). Otherwise open a cell-local window for each burster,
+     * bounded by every component's intrudesAt. Returns true when a
+     * window ran or opened; the caller re-checks the watchdog.
+     * @p start / @p max_cycles clamp every window to the run deadline.
      */
     bool attemptBurst(Cycle start, Cycle max_cycles);
+
+    /**
+     * Rounds a window starting now may span before the watchdog,
+     * max_cycles or a runUntil() stop could fire: each must fire at
+     * exactly the cycle a spin run reaches it, with every component
+     * at that cycle.
+     */
+    Cycle deadlineBound(Cycle start, Cycle max_cycles) const;
+
+    /**
+     * Open a cell-local window for every burster in grants_ whose
+     * quantum, clamped to @p bound and to every component's
+     * intrudesAt, reaches minBurstCycles, and run it at once. Returns
+     * true when one opened.
+     */
+    bool openLocalWindows(Cycle bound);
+
+    /**
+     * One tick round while cell-local windows are open: components in
+     * a window are not ticked, their progress comes from the window's
+     * bitmap. Returns true when a window reported progress.
+     */
+    bool tickAroundWindows();
+
+    /**
+     * Count the rounds in [cycle, cycle + n) in which an open window
+     * reported progress, and move lastProgress past the last one.
+     */
+    Cycle windowBusyRounds(Cycle n);
+
+    /** Recount the open windows after the clock moved. */
+    void closeWindows();
+
+    /** True while slot @p s runs ahead in a cell-local window. */
+    bool inWindow(unsigned s) const { return cycle < windows_[s].end; }
 
     /** Burst windows shorter than this lose to their own setup cost. */
     static constexpr Cycle minBurstCycles = 4;
@@ -395,10 +473,11 @@ class Engine
      * Ceiling for the adaptive retry delay. The first two consecutive
      * misses retry at burstRetryInterval (loop boundaries clear that
      * fast); a longer streak means the machine is in a phase bursts
-     * cannot cover at all — e.g. the host actively pacing the bus
-     * clamps every window below minBurstCycles — where re-probing
-     * every other cycle is pure overhead, so the delay doubles per
-     * miss up to this cap. One successful burst resets the streak.
+     * cannot cover at all — no cell in a local loop, or a component
+     * that could intrude (recovery on) while the host paces the bus —
+     * where re-probing every other cycle is pure overhead, so the
+     * delay doubles per miss up to this cap. One successful burst,
+     * shared or cell-local, resets the streak.
      */
     static constexpr Cycle burstBackoffMax = 16;
 
@@ -435,8 +514,31 @@ class Engine
     Cycle nextBurstTry_ = 0;
     unsigned burstFailStreak_ = 0;         //!< consecutive failed attempts
     std::vector<std::uint8_t> slotProg_;   //!< per-slot progress, 1 round
-    std::vector<unsigned> burstSlots_;     //!< scratch: bursting slots
+    /** A component granting a quantum in the current attempt. */
+    struct Grant
+    {
+        unsigned slot;
+        Cycle quantum;
+    };
+    std::vector<Grant> grants_;            //!< scratch, in slot order
     std::vector<std::uint64_t> burstBits_; //!< scratch: progress bitmap
+    /**
+     * A cell-local window: its component already ran rounds
+     * [start, end) and ticks live again from round end; bit k of bits
+     * is its progress in round start + k.
+     */
+    struct Window
+    {
+        Cycle start = 0;
+        Cycle end = 0;
+        std::vector<std::uint64_t> bits;
+    };
+    std::vector<Window> windows_;       //!< per slot; closed: end <= cycle
+    unsigned openWindows_ = 0;          //!< windows with end > cycle
+    Cycle windowsClose_ = cycleNever;   //!< earliest end of an open one
+    /** Like lastProgress, but for progress of ticked components only:
+     *  the skip hysteresis counts quiescent rounds outside windows. */
+    Cycle lastLiveProgress_ = 0;
     std::uint64_t _burstAttempts = 0;
     std::uint64_t _bursts = 0;
     std::uint64_t _burstCycles = 0;

@@ -67,6 +67,10 @@ class Sampler : public sim::Component
         return rem == 0 ? now : now + (_interval - rem);
     }
 
+    /** A snapshot reads (and settles) every component's statistics:
+     *  the next boundary bounds every burst window. */
+    Cycle intrudesAt(Cycle now) const override { return nextEventAt(now); }
+
     /**
      * Record a snapshot at cycle @p now. Idempotent per cycle, so the
      * end-of-run snapshot cannot double-record a cycle the periodic
