@@ -3,7 +3,7 @@
  * google-benchmark microbenchmarks of the simulator itself: softfloat
  * operation rates, FIFO operation rates per word-protection mode,
  * end-to-end cell simulation speed (streaming, out-of-order
- * writeback and stalled) and
+ * writeback and stalled), sixteen host-paced cells, and
  * snapshot-save throughput. These guard the wall-clock cost of the big
  * table sweeps and of the job server's protected queues and
  * checkpoints.
@@ -193,6 +193,47 @@ BM_CellStallTick(benchmark::State &state)
     state.SetItemsProcessed(std::int64_t(state.iterations()) * cycles);
 }
 BENCHMARK(BM_CellStallTick);
+
+/**
+ * Sixteen cells on a bus paced at tau = 4, the paper's host-bound
+ * corner: a matrix update whose cells stream their local loops while
+ * the host keeps delivering words, so burst windows open cell by cell
+ * (the engine's cell-local window rule) rather than machine-wide.
+ * Skip engine, fast tier on, machine setup included. Reports
+ * simulated cycles per second; burst_frac is the share of cell cycles
+ * run inside windows.
+ */
+void
+BM_HostPacedCells(benchmark::State &state)
+{
+    Cycle cycles = 0;
+    std::uint64_t burst = 0;
+    for (auto _ : state) {
+        copro::CoprocConfig cfg;
+        cfg.cells = 16;
+        cfg.cell.tf = 512;
+        cfg.host.tau = 4;
+        copro::Coprocessor sys(cfg);
+        kernels::installStandardKernels(sys);
+        planner::LinalgPlanner plan(sys);
+        const std::size_t n = 128, k = 16;
+        planner::MatRef c = planner::allocMat(sys.memory(), n, n);
+        planner::MatRef a = planner::allocMat(sys.memory(), n, k);
+        planner::MatRef b = planner::allocMat(sys.memory(), k, n);
+        plan.matUpdate(c, a, b);
+        plan.commit();
+        cycles = sys.run();
+        benchmark::DoNotOptimize(cycles);
+        burst = 0;
+        for (unsigned i = 0; i < sys.numCells(); ++i)
+            burst += sys.cell(i).fastTierStats().counterValue(
+                "burstCycles");
+    }
+    state.SetItemsProcessed(std::int64_t(state.iterations())
+                            * std::int64_t(cycles));
+    state.counters["burst_frac"] = double(burst) / (16.0 * double(cycles));
+}
+BENCHMARK(BM_HostPacedCells)->Unit(benchmark::kMillisecond);
 
 /**
  * Snapshot save: takeSnapshot().encode() of a 2-cell machine with the

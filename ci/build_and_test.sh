@@ -189,36 +189,44 @@ echo "serve_report smoke test OK"
 # Perf smoke (Release): record sim_rate (simulated cycles per wall
 # second) for the streaming benches, plus the micro_sim per-layer
 # rates, so the uploaded artifacts carry a cycles-per-wall-second
-# trend next to the cycle counts. table_6_2 runs twice — fast tier
-# off, then on — and both BENCH jsons land in the artifacts dir, so
-# every CI run documents the tier's measured speedup on this runner.
-# The cycle and flop counts in the two files must be identical (only
-# sim_rate may differ): bench_diff --threshold=0 gates exactly that.
+# trend next to the cycle counts. table_6_2, table_6_1 --quick and
+# fault_sweep each run twice — fast tier off, then on — and both
+# BENCH jsons land in the artifacts dir, so every CI run documents the
+# tier's measured speedup on this runner. The cycle and flop counts in
+# the two files must be identical (only sim_rate may differ):
+# bench_diff --threshold=0 gates exactly that. fault_sweep's recovery,
+# injector and parity rows reach every bound a burst window has.
 # sim_rate itself is not gated here — the regression-gate leg above
 # already soft-gates it against the committed baselines.
 echo "=== perf smoke (Release) ==="
 release="$build_root/release"
 artifacts="$build_root/artifacts"
 mkdir -p "$artifacts"
-(cd "$release" && ./bench/table_6_2 --rows 256 --cols 256 \
-    --fast-tier=off > /dev/null)
-cp "$release/BENCH_table_6_2.json" \
-    "$artifacts/BENCH_table_6_2_fast_tier_off.json"
-(cd "$release" && ./bench/table_6_2 --rows 256 --cols 256 \
-    --fast-tier=on > /dev/null)
-cp "$release/BENCH_table_6_2.json" \
-    "$artifacts/BENCH_table_6_2_fast_tier_on.json"
-"$release/tools/bench_diff" --threshold=0 \
-    "$artifacts/BENCH_table_6_2_fast_tier_off.json" \
-    "$artifacts/BENCH_table_6_2_fast_tier_on.json"
+for bench in table_6_2 table_6_1 fault_sweep; do
+    case "$bench" in
+      table_6_2) args="--rows 256 --cols 256" ;;
+      table_6_1) args="--quick" ;;
+      *) args="" ;;
+    esac
+    for tier in off on; do
+        # shellcheck disable=SC2086
+        (cd "$release" && ./bench/$bench $args --fast-tier=$tier \
+            > /dev/null)
+        cp "$release/BENCH_$bench.json" \
+            "$artifacts/BENCH_${bench}_fast_tier_$tier.json"
+    done
+    "$release/tools/bench_diff" --threshold=0 \
+        "$artifacts/BENCH_${bench}_fast_tier_off.json" \
+        "$artifacts/BENCH_${bench}_fast_tier_on.json"
+done
 (cd "$release" && ./bench/kernels_throughput > /dev/null)
 # Per-layer rates: FIFO push+pop under each parity mode, the cell
 # tick streaming an fma loop, streaming with out-of-order writebacks
-# and stalled on an empty queue, and
-# snapshot save (takeSnapshot().encode()) throughput. Recorded, not
-# gated.
+# and stalled on an empty queue, sixteen host-paced cells streaming
+# in cell-local windows, and snapshot save
+# (takeSnapshot().encode()) throughput. Recorded, not gated.
 "$release/bench/micro_sim" \
-    --benchmark_filter='BM_FifoPushPop|BM_CellInnerLoop|BM_CellMixedWriteback|BM_CellStallTick|BM_CheckpointEncode' \
+    --benchmark_filter='BM_FifoPushPop|BM_CellInnerLoop|BM_CellMixedWriteback|BM_CellStallTick|BM_HostPacedCells|BM_CheckpointEncode' \
     --benchmark_out="$artifacts/micro_sim.json" \
     --benchmark_out_format=json > /dev/null
 echo "perf smoke OK"

@@ -35,6 +35,10 @@ enum class Workload
     Syrk,
     Conv2d,
     Fft,
+    /** conv2d over 256 columns: 16 per cell at P=16, the width of
+     *  perfbench's hostbound cases, so every pass is a local loop long
+     *  enough to burst. */
+    Conv2dWide,
 };
 
 inline constexpr Workload kAllLoads[] = {Workload::MatUpdate, Workload::Lu,
@@ -56,6 +60,8 @@ workloadName(Workload w)
         return "conv2d";
       case Workload::Fft:
         return "fft";
+      case Workload::Conv2dWide:
+        return "conv2d_wide";
     }
     return "?";
 }
@@ -84,6 +90,10 @@ struct RunOut
      * cell-major in the order runWorkload() was asked for them.
      */
     std::vector<Word> pmuWords;
+    /** memoryHash() after the run. */
+    std::uint64_t memHash = 0;
+    /** The run ended in a DeadlockError (only where a test allows it). */
+    bool deadlocked = false;
 };
 
 /**
@@ -95,18 +105,11 @@ struct RunOut
 inline constexpr const char *kFaultSpec =
     "seed=7,rate=500,horizon=20000,kinds=flip+hang+mem,bits=1";
 
-/**
- * Run workload @p w. Every cell's registers in @p pmu are read back
- * over tpi by host programs appended after the workload's own, so the
- * readbacks see the machine's final counters.
- */
-inline RunOut
-runWorkload(Workload w, Shape s, sim::EngineMode mode, bool traced,
-            bool faulted = false, bool fast_tier = true,
-            const std::vector<cell::PmuReg> &pmu = {})
+/** The machine every run of runWorkload() uses. */
+inline copro::CoprocConfig
+goldenConfig(Shape s, sim::EngineMode mode, bool faulted = false,
+             bool fast_tier = true)
 {
-    using namespace planner;
-
     copro::CoprocConfig cfg;
     cfg.cells = s.p;
     cfg.cell.tf = s.tf;
@@ -119,15 +122,17 @@ runWorkload(Workload w, Shape s, sim::EngineMode mode, bool traced,
         cfg.faults = fault::parseFaultSpec(kFaultSpec);
         cfg.cell.parity = fault::ParityMode::Correct;
     }
-    copro::Coprocessor sys(cfg);
-    kernels::installStandardKernels(sys);
+    return cfg;
+}
 
-    trace::Tracer tracer;
-    trace::VectorSink sink;
-    if (traced) {
-        tracer.addSink(&sink);
-        sys.attachTracer(&tracer);
-    }
+/**
+ * Allocate and fill workload @p w's operands in @p sys and return its
+ * host program, not yet enqueued.
+ */
+inline std::vector<host::HostOp>
+planWorkload(copro::Coprocessor &sys, Workload w)
+{
+    using namespace planner;
 
     LinalgPlanner plan(sys);
     const std::size_t n = 24, k = 40;
@@ -159,24 +164,25 @@ runWorkload(Workload w, Shape s, sim::EngineMode mode, bool traced,
         plan.syrkLower(c, a);
         break;
       }
-      case Workload::Conv2d: {
-        // A 3x3 correlation of an n x n image, stored transposed and
+      case Workload::Conv2d:
+      case Workload::Conv2dWide: {
+        // A 3x3 correlation of an n-row image, stored transposed and
         // padded as the conv2d planner requires.
         const std::size_t p = 3, q = 3;
+        const std::size_t m = w == Workload::Conv2d ? n : 256;
         Rng rng(11);
-        MatRef img_t = allocMat(sys.memory(), n + q - 1, n + p);
+        MatRef img_t = allocMat(sys.memory(), m + q - 1, n + p);
         for (std::size_t r = 0; r < n; ++r)
-            for (std::size_t c = 0; c < n; ++c)
+            for (std::size_t c = 0; c < m; ++c)
                 sys.memory().storeF(img_t.addrOf(c, r), rng.element());
         MatRef wr = allocMat(sys.memory(), p, q);
         for (std::size_t i = 0; i < p; ++i)
             for (std::size_t j = 0; j < q; ++j)
                 sys.memory().storeF(wr.addrOf(i, j), rng.element());
-        MatRef out_t = allocMat(sys.memory(), n, n);
+        MatRef out_t = allocMat(sys.memory(), m, n);
         SignalPlanner sig(sys);
-        sig.conv2d(img_t, wr, out_t, n, n);
-        sig.commit();
-        break;
+        sig.conv2d(img_t, wr, out_t, n, m);
+        return sig.takeOps();
       }
       case Workload::Fft: {
         // Four 64-point transforms, one per cell at P=4.
@@ -188,11 +194,59 @@ runWorkload(Workload w, Shape s, sim::EngineMode mode, bool traced,
         const std::size_t fft_out = sys.memory().alloc(2 * points * batch);
         SignalPlanner sig(sys);
         sig.fft(in, fft_out, points, batch);
-        sig.commit();
-        break;
+        return sig.takeOps();
       }
     }
-    plan.commit();
+    return plan.takeOps();
+}
+
+/** FNV-1a over the host memory in use: the run's results. */
+inline std::uint64_t
+memoryHash(copro::Coprocessor &sys)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    for (std::size_t i = 0; i < sys.memory().mark(); ++i)
+        h = (h ^ sys.memory().load(i)) * 1099511628211ull;
+    return h;
+}
+
+/** Everything but the cycle count and events of a finished run. */
+inline void
+collectRun(copro::Coprocessor &sys, RunOut &out)
+{
+    out.statsJson = sys.statsJson();
+    out.memHash = memoryHash(sys);
+    out.fastForwards = sys.engine().fastForwards();
+    out.skippedCycles = sys.engine().skippedCycles();
+    out.bursts = sys.engine().bursts();
+    for (unsigned i = 0; i < sys.numCells(); ++i) {
+        const stats::StatGroup &ft = sys.cell(i).fastTierStats();
+        out.burstCycles += ft.counterValue("burstCycles");
+        out.turboCycles += ft.counterValue("turboCycles");
+    }
+}
+
+/**
+ * Run workload @p w. Every cell's registers in @p pmu are read back
+ * over tpi by host programs appended after the workload's own, so the
+ * readbacks see the machine's final counters.
+ */
+inline RunOut
+runWorkload(Workload w, Shape s, sim::EngineMode mode, bool traced,
+            bool faulted = false, bool fast_tier = true,
+            const std::vector<cell::PmuReg> &pmu = {})
+{
+    copro::Coprocessor sys(goldenConfig(s, mode, faulted, fast_tier));
+    kernels::installStandardKernels(sys);
+
+    trace::Tracer tracer;
+    trace::VectorSink sink;
+    if (traced) {
+        tracer.addSink(&sink);
+        sys.attachTracer(&tracer);
+    }
+
+    sys.host().enqueue(planWorkload(sys, w));
 
     const std::size_t pmu_words = 2 * pmu.size() * s.p;
     const std::size_t pmu_at = sys.memory().alloc(pmu_words);
@@ -207,16 +261,8 @@ runWorkload(Workload w, Shape s, sim::EngineMode mode, bool traced,
     out.cycles = sys.run();
     for (std::size_t i = 0; i < pmu_words; ++i)
         out.pmuWords.push_back(sys.memory().load(pmu_at + i));
-    out.statsJson = sys.statsJson();
+    collectRun(sys, out);
     out.events = std::move(sink.events);
-    out.fastForwards = sys.engine().fastForwards();
-    out.skippedCycles = sys.engine().skippedCycles();
-    out.bursts = sys.engine().bursts();
-    for (unsigned i = 0; i < sys.numCells(); ++i) {
-        const stats::StatGroup &ft = sys.cell(i).fastTierStats();
-        out.burstCycles += ft.counterValue("burstCycles");
-        out.turboCycles += ft.counterValue("turboCycles");
-    }
     return out;
 }
 
@@ -247,6 +293,12 @@ label(const char *what, Shape s)
 // The P=1 and P=4 shapes every spin-vs-skip property is checked at.
 inline constexpr Shape kOneCell = {1, 256, 2};
 inline constexpr Shape kFourCells = {4, 256, 2};
+/**
+ * The paper's host-bound corner (section 6): 16 cells on a bus paced
+ * at tau = 4. The host stays live through most of the run while cells
+ * stream their local loops, so burst windows open cell by cell.
+ */
+inline constexpr Shape kHostPaced = {16, 512, 4};
 inline constexpr Shape kGoldenShapes[] = {kOneCell, kFourCells};
 inline constexpr sim::EngineMode kModes[] = {sim::EngineMode::Spin,
                                              sim::EngineMode::Skip};

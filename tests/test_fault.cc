@@ -715,6 +715,25 @@ TEST(Recovery, AllCellsDeadThrowsRecoveryError)
 // Fast-forward identity under faults
 // ---------------------------------------------------------------------
 
+TEST(Injector, HintNamesTheCycleOfADueFault)
+{
+    // The engine asks for hints before the round at `now`, so a fault
+    // due at `now` is this round's event: the hint must be `now`
+    // itself, not the cycle after.
+    std::vector<fault::FaultEvent> plan(2);
+    plan[0].at = 0;
+    plan[1].at = 10;
+    fault::Injector inj("injector", plan, nullptr);
+    EXPECT_EQ(inj.nextEventAt(0), 0u);
+    EXPECT_EQ(inj.intrudesAt(0), 0u);
+    sim::Engine eng;
+    inj.tick(eng); // round 0 arms the first fault
+    EXPECT_EQ(inj.armedCount(), 1u);
+    EXPECT_EQ(inj.nextEventAt(1), 10u);
+    EXPECT_EQ(inj.nextEventAt(10), 10u);
+    EXPECT_EQ(inj.intrudesAt(10), 10u);
+}
+
 TEST(Faults, SkipAndSpinAreCycleIdentical)
 {
     // A plan mixing every recoverable kind, with the retry machinery
