@@ -13,11 +13,16 @@
  * hashed into kTraceGolden: that pins the order of Retire events and
  * every per-cycle Stall event, which the counters only sum up.
  *
+ * Those workloads run on zero or diagonal-only inputs, whose products
+ * are exact, so they leave soft-float rounding unpinned. A seeded dense
+ * LU and matrix update on FpKind::Soft are hashed into kResultGolden:
+ * host memory (memoryHash) plus every cell's accumulated IEEE flags.
+ *
  * After a deliberate model change, run this test: each mismatching
- * case prints its new hash as a source line for kGolden or kTraceGolden
- * and writes what it hashed to the working directory for review: the
- * stats JSON (golden_<case>.json) or the event stream, one event per
- * line (golden_<case>.events.txt).
+ * case prints its new hash as a source line for kGolden, kTraceGolden
+ * or kResultGolden. The first two also write what they hashed to the
+ * working directory for review: the stats JSON (golden_<case>.json) or
+ * the event stream, one event per line (golden_<case>.events.txt).
  */
 
 #include <gtest/gtest.h>
@@ -94,6 +99,14 @@ const Golden kTraceGolden[] = {
     {"conv2d_p4", 0xb67f424df750127bull},
     {"fft_p1", 0x825d67c3ed026920ull},
     {"fft_p4", 0x18cc1fdb428ba6a0ull},
+};
+
+/** Hashes of the seeded dense soft-float runs: memory, then flags. */
+const Golden kResultGolden[] = {
+    {"lu_dense_p1", 0xfbac90058772fda1ull},
+    {"lu_dense_p4", 0xc39e75ef9d2c27c0ull},
+    {"matupdate_dense_p1", 0x5bbbbfb0cc5b9bb0ull},
+    {"matupdate_dense_p4", 0xbf171c59ab78f9f1ull},
 };
 // clang-format on
 
@@ -220,6 +233,48 @@ TEST(StatsGolden, TracedEventsMatchTheReferenceModel)
                   << unsigned(e.arg) << ' ' << e.comp << ' ' << e.track
                   << ' ' << e.a << ' ' << e.b << '\n';
             ADD_FAILURE() << name << ": event stream written to " << path;
+        }
+    }
+}
+
+TEST(StatsGolden, SoftFloatResultsMatchTheReferenceModel)
+{
+    // perfbench's lu input: seeded random elements, made diagonally
+    // dominant so the unpivoted factorization is stable.
+    for (Workload w : {Workload::Lu, Workload::MatUpdate}) {
+        for (Shape s : kGoldenShapes) {
+            const std::string name = std::string(workloadName(w))
+                                     + "_dense_p" + std::to_string(s.p);
+            copro::Coprocessor sys(goldenConfig(s, sim::EngineMode::Spin));
+            ASSERT_EQ(sys.config().cell.fp, cell::FpKind::Soft) << name;
+            kernels::installStandardKernels(sys);
+            Rng rng(1);
+            auto stage = [&](std::size_t rows, std::size_t cols) {
+                blasref::Matrix m(rows, cols);
+                m.randomize(rng);
+                if (w == Workload::Lu)
+                    m.makeDiagonallyDominant();
+                planner::MatRef r =
+                    planner::allocMat(sys.memory(), rows, cols);
+                planner::storeMat(sys.memory(), r, m);
+                return r;
+            };
+            const std::size_t n = 24, k = 40;
+            planner::LinalgPlanner plan(sys);
+            if (w == Workload::Lu) {
+                plan.lu(stage(n, n));
+            } else {
+                const planner::MatRef c = stage(n, n);
+                const planner::MatRef a = stage(n, k);
+                const planner::MatRef b = stage(k, n);
+                plan.matUpdate(c, a, b);
+            }
+            plan.commit();
+            sys.run();
+            std::uint64_t h = memoryHash(sys);
+            for (unsigned i = 0; i < sys.numCells(); ++i)
+                h = snap::fnvMix(h, sys.cell(i).fpFlags());
+            expectHash(kResultGolden, "kResultGolden", name, h);
         }
     }
 }
