@@ -1,5 +1,8 @@
 #include "softfloat/float32.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/logging.hh"
 
 namespace opac::sf
@@ -83,15 +86,11 @@ unpack(Word a)
     Word e = packedExp(a);
     Word f = packedFrac(a);
     if (e == 0) {
-        // Subnormal: normalize the significand.
+        // Subnormal: move the leading one up to bit 23.
         opac_assert(f != 0, "unpack() on a zero");
-        int sh = 0;
-        while (!(f & 0x00800000u)) {
-            f <<= 1;
-            ++sh;
-        }
+        const int sh = std::countl_zero(f) - 8;
         u.exp = expMin - sh;
-        u.sig = f;
+        u.sig = f << sh;
     } else {
         u.exp = int(e) - expBias;
         u.sig = f | 0x00800000u;
@@ -135,12 +134,26 @@ overflowResult(bool sign, Context &ctx)
 }
 
 /**
+ * What to add to a significand with three guard/round/sticky bits
+ * before they are dropped, by rounding direction and sign. Nearest-even
+ * adds half an ulp and fixes exact ties afterwards.
+ */
+constexpr std::uint8_t kRoundIncrement[4][2] = {
+    {4, 4}, // NearestEven
+    {0, 0}, // TowardZero
+    {0, 7}, // Down
+    {7, 0}, // Up
+};
+
+/**
  * Normalize, round and pack a finite result.
  *
  * Input: value = (-1)^sign * sig * 2^(exp - 26). The significand is
  * normalized into [2^26, 2^27) (24 significand bits plus three
- * guard/round/sticky bits), then rounded per the context's direction.
- * Underflow uses tininess-after-rounding, matching common hardware.
+ * guard/round/sticky bits), then rounded per the context's direction. Underflow uses tininess-after-rounding, as x86 SSE does:
+ * an inexact result is tiny when, rounded to 24 bits with an unbounded
+ * exponent, it lies below 2^-126, and that includes one that rounds to
+ * zero.
  */
 Word
 normRoundPack(bool sign, int exp, std::uint64_t sig, Context &ctx)
@@ -148,72 +161,43 @@ normRoundPack(bool sign, int exp, std::uint64_t sig, Context &ctx)
     if (sig == 0)
         return sign ? negZero : posZero;
 
-    // Normalize to [2^26, 2^27).
-    while (sig >= (std::uint64_t(1) << 27)) {
-        sig = shiftRightJam(sig, 1);
-        ++exp;
-    }
-    while (sig < (std::uint64_t(1) << 26)) {
-        sig <<= 1;
-        --exp;
-    }
+    // Normalize to [2^26, 2^27) in one shift. Shifting right by n with
+    // jam leaves the same sticky bit as n one-bit jammed shifts.
+    const int shift = 37 - std::countl_zero(sig);
+    sig = shift > 0 ? shiftRightJam(sig, shift) : sig << -shift;
+    exp += shift;
+
+    const std::uint64_t inc = kRoundIncrement[int(ctx.rounding)][sign];
 
     // Denormalize if below the normal range.
     if (exp < expMin) {
+        const bool tiny =
+            exp < expMin - 1 || sig + inc < (std::uint64_t(1) << 27);
         sig = shiftRightJam(sig, expMin - exp);
         exp = expMin;
-    }
-
-    std::uint64_t round_bits = sig & 7;
-    std::uint64_t inc = 0;
-    switch (ctx.rounding) {
-      case Round::NearestEven:
-        inc = 4;
-        break;
-      case Round::TowardZero:
-        inc = 0;
-        break;
-      case Round::Down:
-        inc = sign ? 7 : 0;
-        break;
-      case Round::Up:
-        inc = sign ? 0 : 7;
-        break;
-    }
-
-    std::uint64_t rounded = (sig + inc) >> 3;
-    if (ctx.rounding == Round::NearestEven && round_bits == 4)
-        rounded &= ~std::uint64_t(1); // exact tie: round to even
-
-    if (round_bits != 0)
-        ctx.raise(FlagInexact);
-
-    if (rounded >= (std::uint64_t(1) << 24)) {
-        rounded >>= 1; // carry out of the significand
-        ++exp;
-    }
-
-    if (rounded == 0)
-        return sign ? negZero : posZero;
-
-    if (rounded < (std::uint64_t(1) << 23)) {
-        // Subnormal result (exp == expMin by construction).
-        if (round_bits != 0)
+        if (tiny && (sig & 7) != 0)
             ctx.raise(FlagUnderflow);
-        return packBits(sign, 0, Word(rounded));
     }
+
+    const std::uint64_t round_bits = sig & 7;
+    std::uint64_t rounded = (sig + inc) >> 3;
+    // An exact tie under nearest-even rounds to even.
+    rounded &= ~std::uint64_t((round_bits == 4)
+                              & (ctx.rounding == Round::NearestEven));
+    ctx.raise(std::uint8_t(round_bits != 0) * FlagInexact);
+
+    // A carry out of the significand moves the exponent up one.
+    const int carry = int(rounded >> 24);
+    rounded >>= carry;
+    exp += carry;
 
     if (exp > 127)
         return overflowResult(sign, ctx);
 
-    return packBits(sign, Word(exp + expBias), Word(rounded) & fracMask);
-}
-
-/** Round-and-pack for callers that already hold the 27-bit form. */
-Word
-roundPack(bool sign, int exp, std::uint64_t sig, Context &ctx)
-{
-    return normRoundPack(sign, exp, sig, ctx);
+    // A subnormal or zero result has exp == expMin and no bit 23, so
+    // adding the significand into the exponent field packs every case.
+    return (sign ? signMask : 0) + (Word(exp + expBias - 1) << 23)
+           + Word(rounded);
 }
 
 /** Integer square root of a 64-bit value (floor). */
@@ -223,9 +207,9 @@ isqrt64(std::uint64_t v)
     if (v == 0)
         return 0;
     std::uint64_t r = 0;
-    std::uint64_t bit = std::uint64_t(1) << 62;
-    while (bit > v)
-        bit >>= 2;
+    // Start at the highest power of four not above v.
+    std::uint64_t bit = std::uint64_t(1)
+                        << ((63 - std::countl_zero(v)) & ~1);
     while (bit != 0) {
         if (v >= r + bit) {
             v -= r + bit;
@@ -259,7 +243,7 @@ addCore(const Unpacked &ua, const Unpacked &ub, Context &ctx)
     }
 
     if (ua.sign == ub.sign)
-        return roundPack(ua.sign, exp, sa + sb, ctx);
+        return normRoundPack(ua.sign, exp, sa + sb, ctx);
 
     // Effective subtraction.
     bool rsign;
@@ -273,7 +257,7 @@ addCore(const Unpacked &ua, const Unpacked &ub, Context &ctx)
     } else {
         return ctx.rounding == Round::Down ? negZero : posZero;
     }
-    return roundPack(rsign, exp, diff, ctx);
+    return normRoundPack(rsign, exp, diff, ctx);
 }
 
 } // anonymous namespace
@@ -492,10 +476,11 @@ mulAdd(Word a, Word b, Word c, Context &ctx)
         return ctx.rounding == Round::Down ? negZero : posZero;
     }
 
-    // Reduce to 64 bits with jam, tracking the scale change.
-    int shift = 0;
-    for (u128 tmp = mag >> 63; tmp != 0; tmp >>= 1)
-        ++shift;
+    // Reduce to 63 bits with jam, tracking the scale change.
+    const auto hi = std::uint64_t(mag >> 64);
+    const int width = hi != 0 ? 128 - std::countl_zero(hi)
+                              : std::bit_width(std::uint64_t(mag));
+    const int shift = std::max(width - 63, 0);
     std::uint64_t sig64 = std::uint64_t(shiftRightJam128(mag, shift));
 
     // value = sig64 * 2^(exp - 72 + shift).
@@ -553,8 +538,8 @@ div(Word a, Word b, Context &ctx)
     std::uint64_t rem = num - q * ub.sig;
     if (rem != 0)
         q |= 1; // sticky
-    // value = q * 2^(exp - 26): already in the roundPack form.
-    return roundPack(rsign, exp, q, ctx);
+    // value = q * 2^(exp - 26): already in the normRoundPack form.
+    return normRoundPack(rsign, exp, q, ctx);
 }
 
 Word

@@ -579,6 +579,108 @@ TEST(Boundary, AllPairsDirectedRoundingMatchNative)
     }
 }
 
+namespace
+{
+
+/**
+ * The flags of the IEEE exceptions the host raises while computing
+ * @p op. x86-64 SSE detects tininess after rounding, as the soft model
+ * does; other hosts may detect it before rounding.
+ */
+template <typename Op>
+std::uint8_t
+hostFlags(Op op)
+{
+    std::feclearexcept(FE_ALL_EXCEPT);
+    volatile float r = op();
+    (void)r;
+    const int fe = std::fetestexcept(FE_ALL_EXCEPT);
+    return std::uint8_t((fe & FE_INEXACT ? sf::FlagInexact : 0)
+                        | (fe & FE_UNDERFLOW ? sf::FlagUnderflow : 0)
+                        | (fe & FE_OVERFLOW ? sf::FlagOverflow : 0)
+                        | (fe & FE_DIVBYZERO ? sf::FlagDivZero : 0)
+                        | (fe & FE_INVALID ? sf::FlagInvalid : 0));
+}
+
+/** One operation's soft flags against the host's, in mode @p rm. */
+template <typename Soft, typename Host>
+void
+expectHostFlags(const std::string &what, sf::Round rm, Soft soft,
+                Host host)
+{
+    sf::Context ctx{rm, 0};
+    soft(ctx);
+    EXPECT_EQ(unsigned(hostFlags(host)), unsigned(ctx.flags))
+        << what << " rm=" << int(rm);
+}
+
+/** add, sub, mul and div of @p a and @p b, and sqrt of @p a. */
+void
+expectHostFlagsAllOps(Word a, Word b, sf::Round rm)
+{
+    const float x = wordToFloat(a), y = wordToFloat(b);
+    expectHostFlags(strfmt("add(%08x, %08x)", a, b), rm,
+                    [&](sf::Context &c) { sf::add(a, b, c); },
+                    [&] { return nativeAdd(x, y); });
+    expectHostFlags(strfmt("sub(%08x, %08x)", a, b), rm,
+                    [&](sf::Context &c) { sf::sub(a, b, c); },
+                    [&] { return nativeSub(x, y); });
+    expectHostFlags(strfmt("mul(%08x, %08x)", a, b), rm,
+                    [&](sf::Context &c) { sf::mul(a, b, c); },
+                    [&] { return nativeMul(x, y); });
+    expectHostFlags(strfmt("div(%08x, %08x)", a, b), rm,
+                    [&](sf::Context &c) { sf::div(a, b, c); },
+                    [&] { return nativeDiv(x, y); });
+    expectHostFlags(strfmt("sqrt(%08x)", a), rm,
+                    [&](sf::Context &c) { sf::sqrt(a, c); },
+                    [&] { return nativeSqrt(x); });
+}
+
+constexpr sf::Round kAllRoundings[] = {
+    sf::Round::NearestEven, sf::Round::TowardZero, sf::Round::Down,
+    sf::Round::Up};
+
+#if defined(__x86_64__)
+constexpr bool kHostFlagsComparable = true;
+#else
+constexpr bool kHostFlagsComparable = false;
+#endif
+
+} // anonymous namespace
+
+TEST(Flags, BoundaryPairsMatchHost)
+{
+    if (!kHostFlagsComparable)
+        GTEST_SKIP() << "host exception flags are compared on x86-64";
+    auto vals = boundaryValues();
+    for (sf::Round rm : kAllRoundings) {
+        FeRoundGuard guard(feModeFor(rm));
+        for (Word a : vals) {
+            for (Word b : vals) {
+                expectHostFlagsAllOps(a, b, rm);
+                if (HasFailure())
+                    return;
+            }
+        }
+    }
+}
+
+TEST(Flags, RandomOpsMatchHost)
+{
+    if (!kHostFlagsComparable)
+        GTEST_SKIP() << "host exception flags are compared on x86-64";
+    for (sf::Round rm : kAllRoundings) {
+        FeRoundGuard guard(feModeFor(rm));
+        Rng rng(0xf1a6 + unsigned(rm));
+        for (int i = 0; i < 50000; ++i) {
+            expectHostFlagsAllOps(interestingWord(rng), interestingWord(rng),
+                                  rm);
+            if (HasFailure())
+                return;
+        }
+    }
+}
+
 TEST(Compare, Ordering)
 {
     sf::Context ctx;
