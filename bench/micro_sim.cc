@@ -1,9 +1,9 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator itself: softfloat
- * operation rates, FIFO operation rates per word-protection mode,
- * end-to-end cell simulation speed (streaming, out-of-order
- * writeback and stalled), sixteen host-paced cells, and
+ * operation rates on seeded operands, FIFO operation rates per
+ * word-protection mode, end-to-end cell simulation speed (streaming,
+ * out-of-order writeback and stalled), sixteen host-paced cells, and
  * snapshot-save throughput. These guard the wall-clock cost of the big
  * table sweeps and of the job server's protected queues and
  * checkpoints.
@@ -11,7 +11,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "cell/cell.hh"
+#include "common/random.hh"
 #include "coproc/coprocessor.hh"
 #include "fault/fault.hh"
 #include "fifo/timed_fifo.hh"
@@ -25,44 +28,79 @@ using namespace opac;
 namespace
 {
 
+/** Start positions in softfloatOperands(): a power of two. */
+constexpr std::size_t kSoftfloatStarts = 4096;
+
+/**
+ * Operands for the softfloat rates: normal numbers of mixed sign whose
+ * exponents lie within four binades of 1, as in a kernel's inner loop,
+ * from a fixed seed. Cycling through them keeps the branch predictor
+ * from learning one operand pair (alignment shifts, carries and
+ * cancellations vary as they do in a real run). Two extra words let a
+ * three-operand op start at any position.
+ */
+const std::vector<Word> &
+softfloatOperands()
+{
+    static const std::vector<Word> ops = [] {
+        Rng rng(0x50f7);
+        std::vector<Word> v(kSoftfloatStarts + 2);
+        for (Word &w : v)
+            w = (Word(rng.next()) & 0x807fffffu)
+                | Word(127 + rng.range(-4, 4)) << 23;
+        return v;
+    }();
+    return ops;
+}
+
+/** Rate of @p op, reading @p Arity operands per call from a moving start. */
+template <std::size_t Arity, typename Op>
+void
+softfloatRate(benchmark::State &state, Op op)
+{
+    const Word *ops = softfloatOperands().data();
+    sf::Context ctx;
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(op(ops + i, ctx));
+        i = (i + Arity) & (kSoftfloatStarts - 1);
+    }
+    state.SetItemsProcessed(std::int64_t(state.iterations()));
+}
+
 void
 BM_SoftfloatAdd(benchmark::State &state)
 {
-    sf::Context ctx;
-    Word a = floatToWord(1.234f);
-    Word b = floatToWord(-0.567f);
-    for (auto _ : state) {
-        a = sf::add(a, b, ctx);
-        benchmark::DoNotOptimize(a);
-        a = floatToWord(1.234f);
-    }
+    softfloatRate<2>(state, [](const Word *o, sf::Context &ctx) {
+        return sf::add(o[0], o[1], ctx);
+    });
 }
 BENCHMARK(BM_SoftfloatAdd);
 
 void
+BM_SoftfloatMul(benchmark::State &state)
+{
+    softfloatRate<2>(state, [](const Word *o, sf::Context &ctx) {
+        return sf::mul(o[0], o[1], ctx);
+    });
+}
+BENCHMARK(BM_SoftfloatMul);
+
+void
 BM_SoftfloatMulAdd(benchmark::State &state)
 {
-    sf::Context ctx;
-    Word a = floatToWord(1.234f);
-    Word b = floatToWord(-0.567f);
-    Word c = floatToWord(3.14f);
-    for (auto _ : state) {
-        Word r = sf::mulAdd(a, b, c, ctx);
-        benchmark::DoNotOptimize(r);
-    }
+    softfloatRate<3>(state, [](const Word *o, sf::Context &ctx) {
+        return sf::mulAdd(o[0], o[1], o[2], ctx);
+    });
 }
 BENCHMARK(BM_SoftfloatMulAdd);
 
 void
 BM_SoftfloatDiv(benchmark::State &state)
 {
-    sf::Context ctx;
-    Word a = floatToWord(1.234f);
-    Word b = floatToWord(-0.567f);
-    for (auto _ : state) {
-        Word r = sf::div(a, b, ctx);
-        benchmark::DoNotOptimize(r);
-    }
+    softfloatRate<2>(state, [](const Word *o, sf::Context &ctx) {
+        return sf::div(o[0], o[1], ctx);
+    });
 }
 BENCHMARK(BM_SoftfloatDiv);
 

@@ -27,6 +27,10 @@
  * at small N); P=16 only pays off at large N; the FIFO size is
  * marginal at small P; at Tf=2048 the N=44 single-leaf case runs on
  * one cell only (flat across P).
+ *
+ * Writes BENCH_table_6_3.json: cycles and ma_per_cycle per case, the
+ * input of tools/bench_diff (CI gates --quick against
+ * bench/baselines/).
  */
 
 #include <cstdio>
@@ -43,7 +47,13 @@ using namespace opac::planner;
 namespace
 {
 
-double
+struct LuResult
+{
+    Cycle cycles;
+    double wall; //!< wall-clock seconds of the sys.run() call
+};
+
+LuResult
 runCase(unsigned p, std::size_t tf, unsigned tau, std::size_t n)
 {
     copro::Coprocessor sys(timingConfig(p, tf, tau));
@@ -56,8 +66,9 @@ runCase(unsigned p, std::size_t tf, unsigned tau, std::size_t n)
         sys.memory().storeF(a.addrOf(i, i), 1.0f + float(i % 7));
     plan.lu(a);
     plan.commit();
-    Cycle cycles = sys.run();
-    return analytic::luMultiplyAdds(n) / double(cycles);
+    const double t0 = wallSeconds();
+    const Cycle cycles = sys.run();
+    return {cycles, wallSeconds() - t0};
 }
 
 } // anonymous namespace
@@ -77,14 +88,19 @@ main(int argc, char **argv)
     std::printf("Paper table 6.3: LU factorization (fig. 7 recursion), "
                 "multiply-adds per cycle.\n\n");
 
-    std::vector<std::function<double()>> tasks;
+    std::vector<std::function<LuResult()>> tasks;
     for (auto [tf, tau] : configs)
         for (unsigned p : cells)
             for (auto n : sizes)
                 tasks.push_back([p, tf = tf, tau = tau, n] {
                     return runCase(p, tf, tau, n);
                 });
-    auto results = sim::sweep<double>(tasks, jobs);
+    auto results = sim::sweep<LuResult>(tasks, jobs);
+
+    BenchJsonWriter json("table_6_3");
+    json.config("fp", "token");
+    json.config("quick", quick ? 1 : 0);
+    json.config("fast_tier", fastTierDefault() ? "on" : "off");
 
     std::size_t idx = 0;
     for (auto [tf, tau] : configs) {
@@ -95,8 +111,16 @@ main(int argc, char **argv)
         t.header(head);
         for (unsigned p : cells) {
             std::vector<std::string> row = {strfmt("P=%u", p)};
-            for ([[maybe_unused]] auto n : sizes)
-                row.push_back(strfmt("%.2f", results[idx++]));
+            for (auto n : sizes) {
+                const LuResult r = results[idx++];
+                const double ma =
+                    analytic::luMultiplyAdds(n) / double(r.cycles);
+                row.push_back(strfmt("%.2f", ma));
+                json.record(strfmt("P%u_Tf%zu_tau%u_N%zu", p, tf, tau, n),
+                            r.cycles, 2.0 * ma, ma / p,
+                            {{"ma_per_cycle", ma},
+                             {"sim_rate", simRate(r.cycles, r.wall)}});
+            }
             t.row(row);
         }
         std::printf("%s\n", t.render().c_str());

@@ -142,6 +142,7 @@ OPAC_GIT_SHA=$(git -C "$root" rev-parse --short HEAD 2>/dev/null \
 export OPAC_GIT_SHA
 (cd "$plain" && ./bench/table_6_1 --quick > /dev/null)
 (cd "$plain" && ./bench/table_6_2 --rows 256 --cols 256 > /dev/null)
+(cd "$plain" && ./bench/table_6_3 --quick > /dev/null)
 (cd "$plain" && ./bench/fault_sweep > /dev/null)
 # The gated serve_load run doubles as the observability artifact
 # source: dump the shard-kill case's metrics, spans, span trace,
@@ -156,9 +157,10 @@ export OPAC_GIT_SHA
 # generous -30% floor: cycle counts catch model regressions, this
 # catches simulator-speed ones (a fast-tier guard accidentally
 # disabled, a hot path deoptimized) while staying far above shared-
-# runner noise. The other benches stay cycle-only.
-for bench in kernels_throughput table_6_1 table_6_2 fault_sweep \
-    serve_load; do
+# runner noise. The other benches, the paper's LU table among them,
+# stay cycle-only.
+for bench in kernels_throughput table_6_1 table_6_2 table_6_3 \
+    fault_sweep serve_load; do
     gate=""
     case "$bench" in
       table_6_1|table_6_2) gate="--gate-sim-rate=30" ;;
@@ -220,13 +222,14 @@ for bench in table_6_2 table_6_1 fault_sweep; do
         "$artifacts/BENCH_${bench}_fast_tier_on.json"
 done
 (cd "$release" && ./bench/kernels_throughput > /dev/null)
-# Per-layer rates: FIFO push+pop under each parity mode, the cell
-# tick streaming an fma loop, streaming with out-of-order writebacks
-# and stalled on an empty queue, sixteen host-paced cells streaming
-# in cell-local windows, and snapshot save
+# Per-layer rates: soft-float add, mul, fused multiply-add and div
+# over seeded operands; FIFO push+pop under each parity mode; the cell
+# tick streaming an fma loop, streaming with out-of-order
+# writebacks and stalled on an empty queue; sixteen host-paced cells
+# streaming in cell-local windows; and snapshot save
 # (takeSnapshot().encode()) throughput. Recorded, not gated.
 "$release/bench/micro_sim" \
-    --benchmark_filter='BM_FifoPushPop|BM_CellInnerLoop|BM_CellMixedWriteback|BM_CellStallTick|BM_HostPacedCells|BM_CheckpointEncode' \
+    --benchmark_filter='BM_Softfloat|BM_FifoPushPop|BM_CellInnerLoop|BM_CellMixedWriteback|BM_CellStallTick|BM_HostPacedCells|BM_CheckpointEncode' \
     --benchmark_out="$artifacts/micro_sim.json" \
     --benchmark_out_format=json > /dev/null
 echo "perf smoke OK"

@@ -150,10 +150,10 @@ constexpr std::uint8_t kRoundIncrement[4][2] = {
  *
  * Input: value = (-1)^sign * sig * 2^(exp - 26). The significand is
  * normalized into [2^26, 2^27) (24 significand bits plus three
- * guard/round/sticky bits), then rounded per the context's direction. Underflow uses tininess-after-rounding, as x86 SSE does:
- * an inexact result is tiny when, rounded to 24 bits with an unbounded
- * exponent, it lies below 2^-126, and that includes one that rounds to
- * zero.
+ * guard/round/sticky bits), then rounded per the context's direction.
+ * Underflow uses tininess-after-rounding, as x86 SSE does: an inexact
+ * result is tiny when, rounded to 24 bits with an unbounded exponent,
+ * it lies below 2^-126, and that includes one that rounds to zero.
  */
 Word
 normRoundPack(bool sign, int exp, std::uint64_t sig, Context &ctx)

@@ -673,8 +673,9 @@ TEST(Flags, RandomOpsMatchHost)
         FeRoundGuard guard(feModeFor(rm));
         Rng rng(0xf1a6 + unsigned(rm));
         for (int i = 0; i < 50000; ++i) {
-            expectHostFlagsAllOps(interestingWord(rng), interestingWord(rng),
-                                  rm);
+            const Word a = interestingWord(rng);
+            const Word b = interestingWord(rng);
+            expectHostFlagsAllOps(a, b, rm);
             if (HasFailure())
                 return;
         }
