@@ -282,9 +282,9 @@ sweepValues(const std::vector<std::function<double()>> &tasks,
  * text. A separate file — never part of BENCH_*.json, the stats tree
  * or the trace stream — because burst engagement varies with engine
  * mode and flags while those outputs are byte-identical by contract.
- * tools/trace_report renders the file next to --top-stalls output via
- * its own --fast-tier=<file> flag. Thread-safe: sweep cases run
- * concurrently.
+ * The file is plain text (the engine's burst counts, then each cell's
+ * fast-tier StatGroup dump) and is read as is. Thread-safe: sweep
+ * cases run concurrently.
  */
 class FastTierReportSession
 {

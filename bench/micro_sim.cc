@@ -234,9 +234,8 @@ BENCHMARK(BM_CellStallTick);
 
 /**
  * Sixteen cells on a bus paced at tau = 4, the paper's host-bound
- * corner: a matrix update whose cells stream their local loops while
- * the host keeps delivering words, so burst windows open cell by cell
- * (the engine's cell-local window rule) rather than machine-wide.
+ * corner: a matrix update whose cells stream their local loops in
+ * burst windows of their own while the host keeps delivering words.
  * Skip engine, fast tier on, machine setup included. Reports
  * simulated cycles per second; burst_frac is the share of cell cycles
  * run inside windows.

@@ -188,26 +188,39 @@ echo "=== serve_report smoke test ==="
 ls "$plain"/obs/flight/flight_*.json > /dev/null
 echo "serve_report smoke test OK"
 
+# The benchmark's self-test: a reduced pass of every perfbench
+# workload, untraced and traced, must print exactly the metrics
+# BENCHMARK.json names. A change to an accessor perfbench reads
+# (Engine::bursts(), Cell::fastTierStats(), ...) fails here, not first
+# when the benchmark runs. It builds its own RelWithDebInfo + LTO tree
+# under .bench_build/.
+echo "=== perfbench self-test ==="
+python3 "$root/perfbench/test_perfbench.py"
+echo "perfbench self-test OK"
+
 # Perf smoke (Release): record sim_rate (simulated cycles per wall
 # second) for the streaming benches, plus the micro_sim per-layer
 # rates, so the uploaded artifacts carry a cycles-per-wall-second
-# trend next to the cycle counts. table_6_2, table_6_1 --quick and
-# fault_sweep each run twice — fast tier off, then on — and both
-# BENCH jsons land in the artifacts dir, so every CI run documents the
-# tier's measured speedup on this runner. The cycle and flop counts in
-# the two files must be identical (only sim_rate may differ):
-# bench_diff --threshold=0 gates exactly that. fault_sweep's recovery,
-# injector and parity rows reach every bound a burst window has.
-# sim_rate itself is not gated here — the regression-gate leg above
-# already soft-gates it against the committed baselines.
+# trend next to the cycle counts. table_6_2, table_6_1 --quick,
+# table_6_3 --quick and fault_sweep each run twice — fast tier off,
+# then on — and both BENCH jsons land in the artifacts dir, so every
+# CI run documents the tier's measured speedup on this runner. The
+# cycle and flop counts in the two files must be identical (only
+# sim_rate may differ): bench_diff --threshold=0 gates exactly that.
+# table_6_3's short LU kernel calls open and close windows
+# constantly; fault_sweep's parity-off rows clamp windows at every
+# injected fault, and its recovery rows, which open none, check
+# that refusal. sim_rate itself is not gated here — the
+# regression-gate leg above already soft-gates it against the
+# committed baselines.
 echo "=== perf smoke (Release) ==="
 release="$build_root/release"
 artifacts="$build_root/artifacts"
 mkdir -p "$artifacts"
-for bench in table_6_2 table_6_1 fault_sweep; do
+for bench in table_6_2 table_6_1 table_6_3 fault_sweep; do
     case "$bench" in
       table_6_2) args="--rows 256 --cols 256" ;;
-      table_6_1) args="--quick" ;;
+      table_6_1|table_6_3) args="--quick" ;;
       *) args="" ;;
     esac
     for tier in off on; do

@@ -9,8 +9,9 @@
  * such a body, per-cycle lock-step with the rest of the machine buys
  * nothing — the host cannot observe anything the body touches — so the
  * cell advertises a multi-cycle quantum to the engine (burstQuantum)
- * and, when the engine proves every other component passive for a
- * window, executes the window in one call (burstRun).
+ * and, when no other component can reach into the cell before the
+ * window ends (Component::intrudesAt), executes the window in one call
+ * (burstRun) while the rest of the machine keeps ticking.
  *
  * The contract is byte-exactness: burstRun must leave every counter,
  * queue and register exactly as the same number of live tick() rounds
@@ -33,8 +34,7 @@
  *  - otherwise the cycle is the interpreter's own (tickAt, the body
  *    of tick()): no copy of the sequencer lives here. Such cycles fill
  *    the FP pipeline inside a window until turbo can take over, and
- *    let a cell whose pipeline is not yet steady share a multi-cell
- *    window instead of blocking it.
+ *    carry the whole window where turbo refuses (protected queues).
  *
  * Eligibility ("compilation") is a one-time analysis per loop body,
  * cached in Cell::fastBodies and invalidated by loadMicrocode(); each
@@ -46,8 +46,8 @@
  *    innermost, straight-line steady state);
  *  - no operand pops tpx or tpy, and no destination (compute or move)
  *    targets tpo: the four interface queues are provably untouched, so
- *    the engine's passive-component argument reduces to the ordinary
- *    quiescent-skip argument;
+ *    nothing the window does is visible to the components that keep
+ *    ticking across it;
  *  - controlOpsPerCycle >= 2, so the interpreter's zero-overhead wrap
  *    (LoopEnd consumed, then the body's first Compute reached) fits in
  *    one cycle's control budget and never costs a cycle of its own.
@@ -320,7 +320,7 @@ Cell::burstRun(Cycle from, Cycle cycles, sim::Engine &engine,
             const Cycle t = Cycle(turboRun(from + k, cycles - k, engine));
             if (t != 0) {
                 // Every turbo cycle progressed: fill its span of the
-                // (sequentially shared) progress bitmap.
+                // window's progress bitmap.
                 for (Cycle c = k; c < k + t;) {
                     if ((c & 63) == 0 && c + 64 <= k + t) {
                         progress_bits[c >> 6] = ~std::uint64_t(0);

@@ -134,105 +134,59 @@ Engine::deadlineBound(Cycle start, Cycle max_cycles) const
     return w;
 }
 
-bool
+void
 Engine::attemptBurst(Cycle start, Cycle max_cycles)
 {
     ++_burstAttempts;
+    // A burster touches nothing another component observes, so the
+    // others keep ticking through its window; it only needs the
+    // assurance that nobody reaches into its own state before the
+    // window ends. Cells report noEvent, so this is the earliest stats
+    // sample, injected fault or host reset. Asked at the first grant
+    // only: most failed attempts find no cell in a local loop.
+    auto intrusionBound = [&] {
+        Cycle bound = deadlineBound(start, max_cycles);
+        for (const Component *c : components) {
+            const Cycle at = c->intrudesAt(cycle);
+            if (at <= cycle)
+                return Cycle(0);
+            if (at != Component::noEvent)
+                bound = std::min(bound, at - cycle);
+        }
+        return bound;
+    };
+    Cycle bound = 0; // not asked yet
+    bool opened = false;
     const unsigned n = static_cast<unsigned>(components.size());
-
-    // Who can burst, and for how long? A shared window is the
-    // smallest granted quantum.
-    grants_.clear();
-    Cycle w = Component::noEvent;
     for (unsigned s = 0; s < n; ++s) {
-        if (openWindows_ != 0 && inWindow(s))
+        if (inWindow(s))
             continue;
-        Cycle q = components[s]->burstQuantum(cycle);
-        if (q > 0) {
-            grants_.push_back({s, q});
-            w = std::min(w, q);
+        const Cycle q = components[s]->burstQuantum(cycle);
+        if (q < minBurstCycles)
+            continue;
+        if (bound == 0) {
+            bound = intrusionBound();
+            if (bound < minBurstCycles)
+                break;
         }
+        const Cycle w = std::min(q, bound);
+        Window &win = windows_[s];
+        win.start = cycle;
+        win.end = cycle + w;
+        win.bits.assign(std::size_t((w + 63) / 64), 0);
+        components[s]->burstRun(cycle, w, *this, win.bits.data());
+        ++openWindows_;
+        windowsClose_ = std::min(windowsClose_, win.end);
+        _burstCycles += w;
+        opened = true;
     }
-    if (grants_.empty()) {
+    if (!opened) {
         burstFailed(cycle);
-        return false;
+        return;
     }
-    const Cycle deadline = deadlineBound(start, max_cycles);
-
-    // Shared window: everyone else must be provably passive across it
-    // — no progress attributed in the round just executed, and a
-    // nextEventAt hint strictly in the future (which then bounds the
-    // window: the hint is valid precisely because the bursters touch
-    // nothing the passive component observes). A component running
-    // ahead in a cell-local window is not passive. The stats
-    // sampler's hint is its next boundary, so every sample sees live
-    // counters. Where that fails, the bursters may still stream
-    // alone.
-    bool passive = openWindows_ == 0;
-    unsigned nburst = 0;
-    for (unsigned s = 0; passive && s < n; ++s) {
-        if (nburst < grants_.size() && grants_[nburst].slot == s) {
-            ++nburst;
-            continue;
-        }
-        const Cycle at =
-            slotProg_[s] ? cycle : components[s]->nextEventAt(cycle);
-        if (at <= cycle)
-            passive = false;
-        else
-            w = std::min(w, at - cycle);
-    }
-    w = std::min(w, deadline);
-    if (!passive || w < minBurstCycles) {
-        if (openLocalWindows(deadline))
-            return true;
-        burstFailed(cycle);
-        return false;
-    }
-
-    // Execute. Bursters run first, then the passives bulk-replay the
-    // window; the order is immaterial because the bursters touch no
-    // state the passives observe (the burstQuantum contract).
-    burstBits_.assign(std::size_t((w + 63) / 64), 0);
-    for (const Grant &g : grants_) {
-        tickSlot_ = g.slot;
-        components[g.slot]->burstRun(cycle, w, *this, burstBits_.data());
-    }
-    nburst = 0;
-    for (unsigned s = 0; s < n; ++s) {
-        if (nburst < grants_.size() && grants_[nburst].slot == s) {
-            ++nburst;
-            continue;
-        }
-        components[s]->fastForward(cycle, w, *this);
-    }
-
-    // Idle/watchdog accounting from the progress bitmap: a window
-    // cycle with no progress bit is exactly a round in which no
-    // component would have reported progress.
-    Cycle busy = 0;
-    std::ptrdiff_t lastSet = -1;
-    for (std::size_t i = 0; i < burstBits_.size(); ++i) {
-        std::uint64_t m = burstBits_[i];
-        if (i + 1 == burstBits_.size() && (w & 63))
-            m &= (std::uint64_t(1) << (w & 63)) - 1;
-        busy += Cycle(std::popcount(m));
-        if (m != 0) {
-            lastSet = std::ptrdiff_t(i) * 64
-                      + (63 - std::countl_zero(m));
-        }
-    }
-    if (lastSet >= 0)
-        lastProgress = cycle + Cycle(lastSet) + 1;
-    lastLiveProgress_ = lastProgress;
-    cycle += w;
-    statCycles += w;
-    statIdleCycles += w - busy;
     ++_bursts;
-    _burstCycles += w;
     nextBurstTry_ = cycle; // streaming: try again right away
     burstFailStreak_ = 0;
-    return true;
 }
 
 void
@@ -249,47 +203,6 @@ Engine::burstFailed(Cycle at)
 }
 
 bool
-Engine::openLocalWindows(Cycle bound)
-{
-    // A burster touches nothing another component observes, so the
-    // others may keep ticking through its window; it only needs the
-    // assurance that nobody reaches into its own state before the
-    // window ends. Cells report noEvent, so this is the earliest stats
-    // sample, injected fault or host reset.
-    for (const Component *c : components) {
-        const Cycle at = c->intrudesAt(cycle);
-        if (at <= cycle)
-            return false;
-        if (at != Component::noEvent)
-            bound = std::min(bound, at - cycle);
-    }
-    if (bound < minBurstCycles)
-        return false;
-    bool opened = false;
-    for (const Grant &g : grants_) {
-        const Cycle w = std::min(g.quantum, bound);
-        if (w < minBurstCycles)
-            continue;
-        Window &win = windows_[g.slot];
-        win.start = cycle;
-        win.end = cycle + w;
-        win.bits.assign(std::size_t((w + 63) / 64), 0);
-        tickSlot_ = g.slot;
-        components[g.slot]->burstRun(cycle, w, *this, win.bits.data());
-        ++openWindows_;
-        windowsClose_ = std::min(windowsClose_, win.end);
-        _burstCycles += w;
-        opened = true;
-    }
-    if (!opened)
-        return false;
-    ++_bursts;
-    nextBurstTry_ = cycle;
-    burstFailStreak_ = 0;
-    return true;
-}
-
-bool
 Engine::tickAroundWindows()
 {
     bool any = false;
@@ -298,13 +211,10 @@ Engine::tickAroundWindows()
         const Window &win = windows_[s];
         if (cycle < win.end) {
             const Cycle k = cycle - win.start;
-            if ((win.bits[k >> 6] >> (k & 63)) & 1) {
+            if ((win.bits[k >> 6] >> (k & 63)) & 1)
                 any = true;
-                slotProg_[s] = 1;
-            }
             continue;
         }
-        tickSlot_ = s;
         components[s]->tick(*this);
     }
     return any;
@@ -313,18 +223,28 @@ Engine::tickAroundWindows()
 Cycle
 Engine::windowBusyRounds(Cycle n)
 {
+    // Every open window spans the whole jump (the jump stops at the
+    // first window end), so its bitmap is read 64 rounds at a time
+    // from offset cycle - start: the OR over the open windows has a
+    // bit for each round in which some window progressed.
     Cycle busy = 0;
-    for (Cycle c = cycle; c < cycle + n; ++c) {
+    for (Cycle j = 0; j < n; j += 64) {
+        std::uint64_t m = 0;
         for (const Window &win : windows_) {
-            if (c >= win.start && c < win.end) {
-                const Cycle k = c - win.start;
-                if ((win.bits[k >> 6] >> (k & 63)) & 1) {
-                    ++busy;
-                    lastProgress = c + 1;
-                    break;
-                }
-            }
+            if (win.end <= cycle)
+                continue;
+            const Cycle k = cycle + j - win.start;
+            const std::size_t i = std::size_t(k >> 6);
+            const unsigned sh = unsigned(k & 63);
+            m |= win.bits[i] >> sh;
+            if (sh != 0 && i + 1 < win.bits.size())
+                m |= win.bits[i + 1] << (64 - sh);
         }
+        if (n - j < 64)
+            m &= (std::uint64_t(1) << (n - j)) - 1;
+        busy += Cycle(std::popcount(m));
+        if (m != 0)
+            lastProgress = cycle + j + Cycle(64 - std::countl_zero(m));
     }
     return busy;
 }
@@ -368,9 +288,7 @@ Engine::run(Cycle max_cycles)
     // Superop bursts only when skipping (Spin stays the pure per-cycle
     // reference) and untraced (traces need per-cycle event edges).
     const bool burst = skip && fastTier_ && !_tracer;
-    attributeProgress_ = burst;
     if (burst) {
-        slotProg_.assign(n, 0);
         nextBurstTry_ = cycle;
         burstFailStreak_ = 0;
     }
@@ -405,14 +323,9 @@ Engine::run(Cycle max_cycles)
         }
         progressed = false;
         bool windowProgress = false;
-        if (burst)
-            std::fill(slotProg_.begin(), slotProg_.end(),
-                      std::uint8_t(0));
         if (openWindows_ == 0) {
-            for (unsigned s = 0; s < n; ++s) {
-                tickSlot_ = s;
-                components[s]->tick(*this);
-            }
+            for (auto *c : components)
+                c->tick(*this);
         } else {
             windowProgress = tickAroundWindows();
         }
@@ -424,12 +337,9 @@ Engine::run(Cycle max_cycles)
             lastProgress = cycle;
             lastLiveProgress_ = cycle;
             // A streaming component is the burst opportunity: try to
-            // hand it a multi-cycle quantum.
-            if (burst && cycle >= nextBurstTry_
-                && attemptBurst(start, max_cycles)
-                && watchdogCycles != 0
-                && cycle - lastProgress >= watchdogCycles)
-                watchdogExpired();
+            // open it a window.
+            if (burst && cycle >= nextBurstTry_)
+                attemptBurst(start, max_cycles);
             continue;
         }
         if (windowProgress) {

@@ -30,25 +30,15 @@
  *          `noEvent` means it only ever reacts to other components.
  *          With the fast tier on and no tracer attached, Skip also
  *          runs a streaming component's burst quantum (burstQuantum /
- *          burstRun) in one step, under one of two window rules:
- *
- *          - shared: every other component is provably passive (no
- *            progress last round, a future nextEventAt hint). The
- *            window ends at the earliest hint, the bursters run it
- *            and the clock jumps over it, the passives fast-forward;
- *          - cell-local: no other component can intrude on the
- *            burster's non-interface state before the window ends
- *            (intrudesAt). The burster runs the window ahead at
- *            once and is not ticked until it ends, while everyone
- *            else keeps ticking live. Its progress in each of those
- *            rounds comes from the window's bitmap, so idle and
- *            watchdog accounting stay exact, and the clock still
- *            jumps whenever every component outside a window is
- *            passive.
- *
- *          The shared rule is tried first; the cell-local one covers
- *          the phases where others stay live — a host pacing the bus
- *          while cells stream their local loops.
+ *          burstRun) in one step, in a cell-local window: one that no
+ *          other component can intrude on before it ends
+ *          (intrudesAt). The burster runs the window ahead at once
+ *          and is not ticked until it ends, while everyone else keeps
+ *          ticking — a host pacing the bus while cells stream their
+ *          local loops. Its progress in each of those rounds comes
+ *          from the window's bitmap, so idle and watchdog accounting
+ *          stay exact, and the clock still jumps whenever every
+ *          component outside a window is passive.
  *
  * Time statistics — busy, idle, stall and hang cycles, FIFO occupancy
  * — are credited when a component's state changes, not per tick
@@ -157,11 +147,11 @@ class Component
      * components do: a stats sample, an armed fault, a reset line, a
      * protected link faulting its cell. Words moved through a cell's
      * interface queues do not count; a cell in a burst window touches
-     * none of them. Bounds the cell-local burst windows, which run one
-     * component ahead while the others keep ticking. Return `now`
-     * when this cannot be bounded (the default: no cell-local window
-     * while this component is registered), noEvent when this
-     * component never reaches into another's state.
+     * none of them. Bounds the burst windows, which run one component
+     * ahead while the others keep ticking. Return `now` when this
+     * cannot be bounded (the default: no burst window while this
+     * component is registered), noEvent when this component never
+     * reaches into another's state.
      */
     virtual Cycle intrudesAt(Cycle now) const { return now; }
 
@@ -192,12 +182,12 @@ class Component
      * @p from, against a preceding burstQuantum(from) guarantee. Must
      * leave every counter, FIFO and architectural register exactly as
      * @p cycles live tick() rounds would have, in a window where no
-     * other component intrudes (see intrudesAt; in a shared window
-     * nobody else acts at all). For each bulk cycle from + k in which
-     * a live tick would have reported progress, set bit k in
-     * @p progress_bits (an engine-owned bitmap of at least @p cycles
-     * bits, shared by the bursters of a shared window) — the engine
-     * derives idle-cycle and watchdog accounting from it.
+     * other component intrudes (see intrudesAt) while the others keep
+     * ticking. For each bulk cycle from + k in which a live tick would
+     * have reported progress, set bit k in @p progress_bits (the
+     * window's zeroed, engine-owned bitmap of at least @p cycles
+     * bits) — the engine derives idle-cycle and watchdog accounting
+     * from it.
      */
     virtual void burstRun(Cycle from, Cycle cycles, Engine &engine,
                           std::uint64_t *progress_bits)
@@ -279,24 +269,8 @@ class Engine
 
     Cycle now() const { return cycle; }
 
-    /**
-     * Components call this from tick() when they made forward
-     * progress.
-     *
-     * With the fast tier enabled the progress is also attributed to
-     * the component being ticked: a burst attempt must prove
-     * components individually quiescent, because a component's
-     * nextEventAt hint alone cannot — a FIFO front that became ready
-     * strictly before `now` reports no event even while its consumer
-     * is streaming.
-     */
-    void
-    noteProgress()
-    {
-        progressed = true;
-        if (attributeProgress_)
-            slotProg_[tickSlot_] = 1;
-    }
+    /** Components call this from tick() when they made forward progress. */
+    void noteProgress() { progressed = true; }
 
     /**
      * Run until every component reports done(), or max_cycles elapse
@@ -379,9 +353,9 @@ class Engine
     /**
      * Enable the superop fast tier (default off at the engine level;
      * the coprocessor turns it on from its config). When on, the
-     * Skip run loop may grant a component advertising a
-     * burstQuantum() a multi-cycle quantum and bulk-replay every
-     * other (provably passive) component across the window. Spin mode
+     * Skip run loop may run a component advertising a burstQuantum()
+     * that many cycles ahead in a burst window while the others keep
+     * ticking (or skip when they are quiescent). Spin mode
      * never bursts — it stays the pure per-cycle reference — and a
      * run with a tracer attached never bursts either, so every output
      * stays byte-identical with the tier on or off.
@@ -398,9 +372,8 @@ class Engine
     /**
      * Fast-tier diagnostics, unregistered for the same reason: burst
      * engagement depends on the run mode, the stats JSON must not.
-     * bursts() counts successful attempts (a shared window, or one or
-     * more cell-local windows opened together); burstCycles() sums
-     * the windows' lengths.
+     * bursts() counts successful attempts (one or more windows opened
+     * together); burstCycles() sums the windows' lengths.
      */
     std::uint64_t burstAttempts() const { return _burstAttempts; }
     std::uint64_t bursts() const { return _bursts; }
@@ -408,17 +381,13 @@ class Engine
 
   private:
     /**
-     * Superop burst: collect every component outside a window granting
-     * a quantum. When no window is open and the rest are passive for
-     * the window (no progress attributed in the round just executed
-     * and a future-only nextEventAt hint), execute the bursters in
-     * bulk, fast-forward the passives and advance the clock (shared
-     * window). Otherwise open a cell-local window for each burster,
-     * bounded by every component's intrudesAt. Returns true when a
-     * window ran or opened; the caller re-checks the watchdog.
-     * @p start / @p max_cycles clamp every window to the run deadline.
+     * Superop burst: open a window for every component outside one
+     * whose burstQuantum(), clamped to every component's intrudesAt
+     * and to the run deadlines (@p start / @p max_cycles, see
+     * deadlineBound), reaches minBurstCycles, and run it at once. The
+     * clock does not move.
      */
-    bool attemptBurst(Cycle start, Cycle max_cycles);
+    void attemptBurst(Cycle start, Cycle max_cycles);
 
     /**
      * Rounds a window starting now may span before the watchdog,
@@ -429,15 +398,7 @@ class Engine
     Cycle deadlineBound(Cycle start, Cycle max_cycles) const;
 
     /**
-     * Open a cell-local window for every burster in grants_ whose
-     * quantum, clamped to @p bound and to every component's
-     * intrudesAt, reaches minBurstCycles, and run it at once. Returns
-     * true when one opened.
-     */
-    bool openLocalWindows(Cycle bound);
-
-    /**
-     * One tick round while cell-local windows are open: components in
+     * One tick round while windows are open: components in
      * a window are not ticked, their progress comes from the window's
      * bitmap. Returns true when a window reported progress.
      */
@@ -452,7 +413,7 @@ class Engine
     /** Recount the open windows after the clock moved. */
     void closeWindows();
 
-    /** True while slot @p s runs ahead in a cell-local window. */
+    /** True while slot @p s runs ahead in a window. */
     bool inWindow(unsigned s) const { return cycle < windows_[s].end; }
 
     /** Burst windows shorter than this lose to their own setup cost. */
@@ -460,13 +421,12 @@ class Engine
     /**
      * Live rounds before retrying after a failed attempt. Kept short
      * on every failure path: the steady-state windows are only as
-     * long as the innermost loop count (tens of cycles), and both
-     * common failures clear within a cycle or two — a passive host
-     * pushes one bus word at a loop boundary and re-blocks on the
-     * full interface queue, and a sequencer crossing a loop boundary
-     * (no quantum to grant) re-enters the body immediately. A long
-     * back-off here blanks most of the next window; the attempt
-     * itself is one cheap burstQuantum() poll per component.
+     * long as the innermost loop count (tens of cycles), and the
+     * common failure clears within a cycle or two — a sequencer
+     * crossing a loop boundary (no quantum to grant) re-enters the
+     * body immediately. A long back-off here blanks most of the next
+     * window; the attempt itself is one cheap burstQuantum() poll
+     * per component (and, at the first grant, one intrudesAt() each).
      */
     static constexpr Cycle burstRetryInterval = 2;
     /**
@@ -474,10 +434,9 @@ class Engine
      * misses retry at burstRetryInterval (loop boundaries clear that
      * fast); a longer streak means the machine is in a phase bursts
      * cannot cover at all — no cell in a local loop, or a component
-     * that could intrude (recovery on) while the host paces the bus —
-     * where re-probing every other cycle is pure overhead, so the
-     * delay doubles per miss up to this cap. One successful burst,
-     * shared or cell-local, resets the streak.
+     * that could intrude (recovery on) — where re-probing every other
+     * cycle is pure overhead, so the delay doubles per miss up to this
+     * cap. One opened window resets the streak.
      */
     static constexpr Cycle burstBackoffMax = 16;
 
@@ -510,20 +469,10 @@ class Engine
     std::uint64_t _fastForwards = 0;
     std::uint64_t _skippedCycles = 0;
     bool fastTier_ = false;
-    bool attributeProgress_ = false;
     Cycle nextBurstTry_ = 0;
-    unsigned burstFailStreak_ = 0;         //!< consecutive failed attempts
-    std::vector<std::uint8_t> slotProg_;   //!< per-slot progress, 1 round
-    /** A component granting a quantum in the current attempt. */
-    struct Grant
-    {
-        unsigned slot;
-        Cycle quantum;
-    };
-    std::vector<Grant> grants_;            //!< scratch, in slot order
-    std::vector<std::uint64_t> burstBits_; //!< scratch: progress bitmap
+    unsigned burstFailStreak_ = 0; //!< consecutive failed attempts
     /**
-     * A cell-local window: its component already ran rounds
+     * A burst window: its component already ran rounds
      * [start, end) and ticks live again from round end; bit k of bits
      * is its progress in round start + k.
      */
@@ -542,7 +491,6 @@ class Engine
     std::uint64_t _burstAttempts = 0;
     std::uint64_t _bursts = 0;
     std::uint64_t _burstCycles = 0;
-    unsigned tickSlot_ = 0; //!< slot of the component being ticked
     trace::Tracer *_tracer = nullptr;
     stats::StatGroup statGroup;
     stats::Counter statCycles;

@@ -34,30 +34,6 @@ using namespace opac;
 namespace
 {
 
-/**
- * Render a fast-tier sidecar file (benches' --fast-tier-report=FILE:
- * per-case engine burst counts and per-cell compile/fallback
- * counters). The counters live in a sidecar rather than the trace
- * stream because a traced run never bursts — the stream must stay
- * byte-identical with the tier on or off.
- */
-int
-appendFastTier(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr,
-                     "trace_report: cannot open fast-tier report "
-                     "'%s'\n", path.c_str());
-        return 1;
-    }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    std::printf("\nfast-tier counters (%s):\n%s", path.c_str(),
-                buf.str().c_str());
-    return 0;
-}
-
 int
 reportCsv(std::ifstream &in, long top_stalls)
 {
@@ -167,7 +143,6 @@ int
 main(int argc, char **argv)
 {
     long top_stalls = 0;
-    std::string fast_tier;
     const char *input = nullptr;
     for (int i = 1; i < argc; ++i) {
         if (std::strncmp(argv[i], "--top-stalls=", 13) == 0) {
@@ -177,8 +152,6 @@ main(int argc, char **argv)
                              "trace_report: bad --top-stalls value\n");
                 return 2;
             }
-        } else if (std::strncmp(argv[i], "--fast-tier=", 12) == 0) {
-            fast_tier = argv[i] + 12;
         } else if (std::strcmp(argv[i], "--help") == 0) {
             input = nullptr;
             break;
@@ -192,16 +165,12 @@ main(int argc, char **argv)
     if (!input) {
         std::fprintf(stderr,
                      "usage: trace_report [--top-stalls=N] "
-                     "[--fast-tier=FILE] <trace.csv | trace.json>\n"
+                     "<trace.csv | trace.json>\n"
                      "  .csv  -> full aggregate report (utilization, "
                      "FIFO depths, bus, stalls)\n"
                      "           with --top-stalls=N: only the N "
                      "largest stall sources, ranked\n"
                      "  other -> Chrome trace-event structural "
-                     "summary\n"
-                     "  --fast-tier=FILE appends a bench-produced "
-                     "fast-tier sidecar report\n"
-                     "  (--fast-tier-report=FILE) after the trace "
                      "summary\n");
         return 2;
     }
@@ -212,21 +181,16 @@ main(int argc, char **argv)
         return 1;
     }
     std::string path = input;
-    int rc;
     if (path.size() >= 4
-        && path.compare(path.size() - 4, 4, ".csv") == 0) {
-        rc = reportCsv(in, top_stalls);
-    } else if (top_stalls > 0) {
+        && path.compare(path.size() - 4, 4, ".csv") == 0)
+        return reportCsv(in, top_stalls);
+    if (top_stalls > 0) {
         std::fprintf(stderr, "trace_report: --top-stalls needs a CSV "
                              "trace (stall events are not recovered "
                              "from Chrome JSON)\n");
         return 2;
-    } else {
-        std::stringstream buf;
-        buf << in.rdbuf();
-        rc = reportChromeJson(buf.str());
     }
-    if (rc == 0 && !fast_tier.empty())
-        rc = appendFastTier(fast_tier);
-    return rc;
+    std::stringstream buf;
+    buf << in.rdbuf();
+    return reportChromeJson(buf.str());
 }
