@@ -37,6 +37,12 @@ plain="$build_root/plain"
 (cd "$plain" && ./bench/kernels_throughput --trace=trace_smoke.json \
     --stats=stats_smoke.json > /dev/null)
 "$plain/tools/trace_report" "$plain/trace_smoke.json" > /dev/null
+# A traced run ticks every round in either engine mode, so the skip
+# run's trace must be the spin run's, byte for byte.
+(cd "$plain" && ./bench/kernels_throughput --engine=spin \
+    --trace=trace_smoke_spin.json --stats=stats_smoke_spin.json \
+    > /dev/null)
+cmp "$plain/trace_smoke.json" "$plain/trace_smoke_spin.json"
 echo "trace smoke test OK"
 
 # Concurrency under TSan. Each simulation runs on one thread; the

@@ -6,7 +6,6 @@
 #include "common/error.hh"
 #include "common/logging.hh"
 #include "isa/encode.hh"
-#include "sim/replay.hh"
 #include "snap/snapshot.hh"
 
 namespace opac::cell
@@ -579,9 +578,12 @@ Cell::tickSequencer(Cycle now, sim::Engine &engine)
             current = &it->second;
             paramsToRead = current->nparams;
             paramIndex = 0;
-            state = paramsToRead > 0 ? SeqState::ReadParams
-                                     : SeqState::Decode;
-            decodeLeft = cfg.callDecodeCycles;
+            if (paramsToRead > 0) {
+                state = SeqState::ReadParams;
+            } else {
+                state = SeqState::Decode;
+                dispatchAt = now + std::max(cfg.callDecodeCycles, 1u);
+            }
             ++statCalls;
             if (tracer) {
                 callTrack = tracer->internTrack(traceComp,
@@ -598,8 +600,10 @@ Cell::tickSequencer(Cycle now, sim::Engine &engine)
       case SeqState::ReadParams:
         if (_tpi.canPop(now)) {
             params[paramIndex++] = std::int32_t(_tpi.pop(now));
-            if (--paramsToRead == 0)
+            if (--paramsToRead == 0) {
                 state = pmuCall ? SeqState::PmuRespond : SeqState::Decode;
+                dispatchAt = now + std::max(cfg.callDecodeCycles, 1u);
+            }
             engine.noteProgress();
         }
         break;
@@ -622,12 +626,10 @@ Cell::tickSequencer(Cycle now, sim::Engine &engine)
       }
 
       case SeqState::Decode:
-        // A pure countdown is not forward progress: it is fully
-        // predictable (see nextEventAt), so the engine may skip it.
-        // Completing the dispatch is.
-        if (decodeLeft > 1) {
-            --decodeLeft;
-        } else {
+        // Waiting for the dispatch cycle is not forward progress: it
+        // is fully predictable (see nextEventAt), so the engine may
+        // skip it. Completing the dispatch is.
+        if (now >= dispatchAt) {
             pc = 0;
             loopStack.clear();
             state = SeqState::Run;
@@ -784,6 +786,10 @@ Cell::nextEventAt(Cycle now) const
 {
     if (_dead)
         return noEvent;
+    // A stalled round emits a Stall event: a traced cell ticks every
+    // round.
+    if (tracer)
+        return now;
     sim::HintMin at;
     // Any queue front falling through can unblock the sequencer or
     // the host (tpo feeds the host's Recv), so all seven count.
@@ -792,8 +798,8 @@ Cell::nextEventAt(Cycle now) const
     at.note(_tpi.nextReadyAt(now));
     // A faulted cell acts on nothing itself; only its queue fronts
     // matter (the host may still drain tpo). A hung cell additionally
-    // wakes when the hang expires; its internal countdowns stay
-    // frozen until then.
+    // wakes when the hang expires; its call dispatch waits out the
+    // hang (injectHang).
     if (_faulted)
         return at.value();
     if (now < hangUntil) {
@@ -815,32 +821,8 @@ Cell::nextEventAt(Cycle now) const
     for (const auto &w : inflight)
         at.noteFuture(w.when, now);
     if (state == SeqState::Decode)
-        at.note(now + decodeLeft - 1);
+        at.note(dispatchAt);
     return at.value();
-}
-
-void
-Cell::fastForward(Cycle from, Cycle cycles, sim::Engine &engine)
-{
-    (void)engine;
-    // Every replayed round repeats the quiescent round before the
-    // window, whose clock state carries across it: only the decode
-    // countdown and the traced per-cycle stall events need replaying.
-    if (_dead || _faulted || from < hangUntil)
-        return;
-    if (state == SeqState::Decode) {
-        // The skip window never reaches the dispatch cycle.
-        decodeLeft -= unsigned(cycles);
-    } else if (tracer && state == SeqState::Run) {
-        // A quiescent Run round is a stall; the clock names its cause.
-        const stats::Counter *c = clock.second();
-        const trace::StallWhy why =
-            c == &statStallDst   ? trace::StallWhy::DstFull
-            : c == &statStallReg ? trace::StallWhy::RegPending
-                                 : trace::StallWhy::SrcEmpty;
-        sim::replayStalls(tracer, from, cycles, why, traceComp,
-                          std::uint32_t(pc));
-    }
 }
 
 void
@@ -875,7 +857,7 @@ Cell::hardReset(Cycle now)
     pc = 0;
     paramsToRead = 0;
     paramIndex = 0;
-    decodeLeft = 0;
+    dispatchAt = 0;
     pmuCall = false;
     loopStack.clear();
     blocker = {};
@@ -920,6 +902,10 @@ Cell::injectHang(Cycle now, Cycle duration)
         enterFaulted("injected permanent hang", now);
         return;
     }
+    // A decoding call waits out every round this hang adds.
+    const Cycle from = std::max(hangUntil, now);
+    if (state == SeqState::Decode && now + duration > from)
+        dispatchAt += now + duration - from;
     hangUntil = std::max(hangUntil, now + duration);
 }
 
@@ -1004,7 +990,7 @@ Cell::saveState(snap::Writer &w) const
     w.u64(pc);
     w.u32(paramsToRead);
     w.u32(paramIndex);
-    w.u32(decodeLeft);
+    w.u64(dispatchAt);
     w.b(pmuCall);
     for (std::int32_t p : params)
         w.i32(p);
@@ -1038,7 +1024,10 @@ Cell::saveState(snap::Writer &w) const
 void
 Cell::loadState(snap::Reader &r, std::uint32_t version)
 {
-    (void)version;
+    // Version 1 stored the call decode as a u32 countdown.
+    if (version != stateVersion())
+        r.fail(strfmt("%s state version %u, this build reads only %u",
+                      name().c_str(), version, stateVersion()));
     std::uint32_t nkernels = r.u32();
     microcode.clear();
     current = nullptr;
@@ -1085,7 +1074,7 @@ Cell::loadState(snap::Reader &r, std::uint32_t version)
                "'");
     paramsToRead = r.u32();
     paramIndex = r.u32();
-    decodeLeft = r.u32();
+    dispatchAt = r.u64();
     pmuCall = r.b();
     if (paramIndex > isa::numParams || paramsToRead > isa::numParams)
         r.fail(name() + ": parameter cursor out of range");

@@ -147,11 +147,10 @@ class Cell : public sim::Component
      * Idle-cycle skipping support: the cell's future events are FIFO
      * fronts falling through (any of the seven queues — tpo matters
      * to the host's Recv), FP/move pipeline results landing, and the
-     * fixed decode countdown.
+     * dispatch cycle of a decoding call. A traced cell returns @p now:
+     * a stalled round emits a Stall event, so it ticks every round.
      */
     Cycle nextEventAt(Cycle now) const override;
-    void fastForward(Cycle from, Cycle cycles,
-                     sim::Engine &engine) override;
 
     /**
      * Credit the busy/idle/stall/hang clock and the sum, ret and reby
@@ -191,7 +190,7 @@ class Cell : public sim::Component
      * saw, whatever the fresh machine had installed. Decoded-body
      * caches (the fast tier) rebuild on demand and are not saved.
      */
-    std::uint32_t stateVersion() const override { return 1; }
+    std::uint32_t stateVersion() const override { return 2; }
     void saveState(snap::Writer &w) const override;
     void loadState(snap::Reader &r, std::uint32_t version) override;
 
@@ -252,7 +251,9 @@ class Cell : public sim::Component
      * Freeze sequencer and writeback for @p duration cycles
      * (duration 0: permanently — the cell is faulted until a reset).
      * Queue pushes from the host still land; the machine just stops
-     * consuming.
+     * consuming. Called before the cell ticks at @p now (the fault
+     * injector ticks first), so rounds [now, now + duration) freeze;
+     * a decoding call dispatches that many frozen rounds later.
      */
     void injectHang(Cycle now, Cycle duration);
 
@@ -301,7 +302,7 @@ class Cell : public sim::Component
     {
         Idle,       //!< waiting for a call word on tpi
         ReadParams, //!< popping parameter words
-        Decode,     //!< fixed dispatch delay
+        Decode,     //!< fixed dispatch delay, until dispatchAt
         Run,        //!< executing microcode
         PmuRespond, //!< pushing a PMU register value to tpo
     };
@@ -421,7 +422,7 @@ class Cell : public sim::Component
     std::size_t pc = 0;
     unsigned paramsToRead = 0;
     unsigned paramIndex = 0;
-    unsigned decodeLeft = 0;
+    Cycle dispatchAt = 0; //!< Decode: the cycle the call dispatches
     bool pmuCall = false; //!< the current tpi call is a PMU read
     std::array<std::int32_t, isa::numParams> params{};
 

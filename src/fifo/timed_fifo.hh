@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "fault/fault.hh"
-#include "sim/replay.hh"
+#include "sim/engine.hh"
 #include "stats/stats.hh"
 #include "common/types.hh"
 #include "trace/trace.hh"

@@ -9,7 +9,6 @@
 
 #include "common/error.hh"
 #include "common/logging.hh"
-#include "sim/replay.hh"
 #include "snap/snapshot.hh"
 
 namespace opac::host
@@ -329,7 +328,7 @@ Host::tickSend(const HostOp &op, Cycle now)
     ++pos;
     if (tracer)
         traceWord(now, cfg.tau);
-    cooldown = (cfg.tau > 0 ? cfg.tau - 1 : 0) + takeMemSpike();
+    readyAt = now + std::max(cfg.tau, 1u) + takeMemSpike();
     return pos >= op.region.count();
 }
 
@@ -355,7 +354,7 @@ Host::tickRecv(const HostOp &op, Cycle now)
     ++pos;
     if (tracer)
         traceWord(now, cfg.tau);
-    cooldown = (cfg.tau > 0 ? cfg.tau - 1 : 0) + takeMemSpike();
+    readyAt = now + std::max(cfg.tau, 1u) + takeMemSpike();
     return pos >= op.region.count();
 }
 
@@ -385,7 +384,7 @@ Host::tickCall(const HostOp &op, Cycle now)
     ++pos;
     if (tracer)
         traceWord(now, cfg.callWordCost);
-    cooldown = cfg.callWordCost > 0 ? cfg.callWordCost - 1 : 0;
+    readyAt = now + std::max(cfg.callWordCost, 1u);
     return pos >= op.callWords.size();
 }
 
@@ -411,14 +410,12 @@ Host::applyScalar(const HostOp &op)
 bool
 Host::tickCompute(const HostOp &op, Cycle now)
 {
-    (void)now;
-    if (computeLeft == 0)
-        computeLeft = cfg.recipCycles;
-    if (--computeLeft == 0) {
-        applyScalar(op);
-        return true;
-    }
-    return false;
+    if (computeAt == cycleNever)
+        computeAt = now + std::max(cfg.recipCycles, 1u) - 1;
+    if (now < computeAt)
+        return false;
+    applyScalar(op);
+    return true;
 }
 
 bool
@@ -473,7 +470,7 @@ Host::tickReset(const HostOp &op, Cycle now)
     ++statCallWords;
     if (tracer)
         traceWord(now, cfg.callWordCost);
-    cooldown = cfg.callWordCost > 0 ? cfg.callWordCost - 1 : 0;
+    readyAt = now + std::max(cfg.callWordCost, 1u);
     ++pos;
     while (pos < cells.size() && !(op.cellMask & (1u << pos)))
         ++pos;
@@ -511,10 +508,13 @@ Host::blameCell() const
 }
 
 void
-Host::recoverTxn(Cycle now, sim::Engine &engine)
+Host::recoverTxn(Cycle now, Cycle next, sim::Engine &engine)
 {
     parityTripped = false;
     staging.clear();
+    auto extendCooldown = [&](Cycle cost) {
+        readyAt = next + (readyAt > now ? readyAt - now : 0) + cost;
+    };
     if (txnRetries >= cfg.recovery.retryBudget) {
         // Degrade: retire the culprit and hand the remaining work to
         // the planner to rebuild on the survivors.
@@ -524,18 +524,20 @@ Host::recoverTxn(Cycle now, sim::Engine &engine)
         ++statDeadCells;
         // The survivors' queues still hold words from the aborted
         // attempt: reset them before the re-planned program arrives.
+        unsigned nreset = 0;
         for (std::size_t c = 0; c < cells.size(); ++c) {
             if (!(txnMask & (1u << c)) || cells[c]->dead())
                 continue;
             cells[c]->hardReset(now);
             ++statResets;
-            cooldown += unsigned(cfg.recovery.resetCostCycles);
+            ++nreset;
         }
+        extendCooldown(cfg.recovery.resetCostCycles * nreset);
         journal.clear();
         program.clear();
         resetOps = 0;
         pos = 0;
-        computeLeft = 0;
+        computeAt = cycleNever;
         opAnnounced = false;
         inTxn = false;
         txnDeadline = cycleNever;
@@ -563,7 +565,7 @@ Host::recoverTxn(Cycle now, sim::Engine &engine)
         ++statResets;
         ++nreset;
     }
-    cooldown += unsigned(cfg.recovery.resetCostCycles) * nreset;
+    extendCooldown(cfg.recovery.resetCostCycles * nreset);
     // Replay: the journaled (completed) descriptors go back in front
     // of the still-pending ones, and the partially-done front
     // descriptor restarts from its first word.
@@ -572,9 +574,9 @@ Host::recoverTxn(Cycle now, sim::Engine &engine)
     countResetOps();
     journal.clear();
     pos = 0;
-    computeLeft = 0;
+    computeAt = cycleNever;
     opAnnounced = false;
-    txnDeadline = now + txnTimeout + cooldown;
+    txnDeadline = now + txnTimeout + (readyAt - next);
     engine.noteProgress();
 }
 
@@ -584,7 +586,7 @@ Host::forceRecovery(sim::Engine &engine)
     if (!cfg.recovery.enabled || !inTxn)
         return false;
     ++statTimeouts;
-    recoverTxn(engine.now(), engine);
+    recoverTxn(engine.now(), engine.now(), engine);
     return true;
 }
 
@@ -607,21 +609,30 @@ Host::tick(sim::Engine &engine)
 {
     Cycle now = engine.now();
     if (program.empty()) {
+        if (idleSince == cycleNever)
+            idleSince = now;
         clock.enter(nullptr, nullptr, now);
         return;
+    }
+    if (idleSince != cycleNever) {
+        // Refilled: the cooldown stood still while the program was
+        // empty.
+        if (readyAt > idleSince)
+            readyAt += now - idleSince;
+        idleSince = cycleNever;
     }
     if (inTxn && (parityTripped || now >= txnDeadline)) {
         clock.enter(&statBusy, nullptr, now);
         if (!parityTripped)
             ++statTimeouts;
-        recoverTxn(now, engine);
+        recoverTxn(now, now + 1, engine);
         return;
     }
-    if (cooldown > 0) {
-        // A pure countdown is not forward progress: it is fully
-        // predictable (see nextEventAt), so the engine may skip it.
+    if (now < readyAt) {
+        // Waiting out the cooldown is not forward progress: it is
+        // fully predictable (see nextEventAt), so the engine may skip
+        // it.
         clock.enter(&statBusy, nullptr, now);
-        --cooldown;
         return;
     }
     const HostOp &op = program.front();
@@ -673,10 +684,10 @@ Host::tick(sim::Engine &engine)
         finished = tickReset(op, now);
         break;
     }
-    // A Compute countdown cycle is not progress (it is predictable and
-    // skippable, like the cooldown above); moving a word or finishing
-    // a descriptor is. A Send, Recv or Call that did neither was
-    // blocked on a cell queue: a stall.
+    // A Compute cycle before the finishing one is not progress (it is
+    // predictable and skippable, like the cooldown above); moving a
+    // word or finishing a descriptor is. A Send, Recv or Call that did
+    // neither was blocked on a cell queue: a stall.
     const bool moved = pos != prev_pos || finished;
     clock.enter(&statBusy, moved ? nullptr : stallCounter(op), now);
     if (moved)
@@ -700,7 +711,7 @@ Host::tick(sim::Engine &engine)
             --resetOps;
         program.pop_front();
         pos = 0;
-        computeLeft = 0;
+        computeAt = cycleNever;
         opAnnounced = false;
         ++statOpsDone;
     }
@@ -711,20 +722,26 @@ Host::nextEventAt(Cycle now) const
 {
     if (program.empty())
         return noEvent;
+    // A blocked round emits a Stall event: a traced host ticks every
+    // round.
+    if (tracer)
+        return now;
     // Inside a transaction the deadline is a hard wake-up: skipping
     // past it would delay recovery and change timing.
     Cycle wake = noEvent;
     if (inTxn)
         wake = txnDeadline > now ? txnDeadline : now;
-    if (cooldown > 0)
-        return std::min(wake, now + cooldown);
+    // The round at readyAt retries the op after the busy cooldown, so
+    // a blocked transfer changes state there: it is an event too.
+    // Past it, the round before any jump is already in the state the
+    // skipped rounds stay in.
+    if (now <= readyAt)
+        return std::min(wake, readyAt);
     const HostOp &op = program.front();
     switch (op.kind) {
       case HostOp::Kind::Compute:
-        // tickCompute finishes in the cycle that decrements
-        // computeLeft to zero.
-        return std::min(wake,
-                        computeLeft > 0 ? now + computeLeft - 1 : now);
+        // A Compute op that has not started starts next round.
+        return std::min(wake, computeAt == cycleNever ? now : computeAt);
       case HostOp::Kind::TxnBegin:
       case HostOp::Kind::TxnEnd:
       case HostOp::Kind::Reset:
@@ -783,46 +800,6 @@ Host::intrudesAt(Cycle now) const
             return now;
     }
     return noEvent;
-}
-
-void
-Host::fastForward(Cycle from, Cycle cycles, sim::Engine &engine)
-{
-    (void)engine;
-    if (program.empty())
-        return;
-    if (cooldown > 0) {
-        // The skip window never extends past the cooldown expiry.
-        cooldown -= unsigned(cycles);
-        return;
-    }
-    // The round before the window may have been the busy one in which
-    // the cooldown ran out; every window round retries the op, so the
-    // state is the op's own: a stall for a blocked transfer.
-    const HostOp &op = program.front();
-    clock.enter(&statBusy, stallCounter(op), from);
-    switch (op.kind) {
-      case HostOp::Kind::Send:
-      case HostOp::Kind::Call:
-        sim::replayStalls(tracer, from, cycles, trace::StallWhy::BusFull,
-                          traceComp, std::uint32_t(pos));
-        break;
-      case HostOp::Kind::Recv:
-        sim::replayStalls(tracer, from, cycles,
-                          trace::StallWhy::BusEmpty, traceComp,
-                          std::uint32_t(pos));
-        break;
-      case HostOp::Kind::Compute:
-        // The skip window never reaches the finishing cycle.
-        computeLeft -= unsigned(cycles);
-        break;
-      case HostOp::Kind::TxnBegin:
-      case HostOp::Kind::TxnEnd:
-      case HostOp::Kind::Reset:
-        // nextEventAt() reports `now` for these, so the engine never
-        // opens a skip window over them.
-        break;
-    }
 }
 
 bool
@@ -937,8 +914,9 @@ Host::saveState(snap::Writer &w) const
     for (const HostOp &op : program)
         saveOp(w, op);
     w.u64(pos);
-    w.u32(cooldown);
-    w.u32(computeLeft);
+    w.u64(readyAt);
+    w.u64(computeAt);
+    w.u64(idleSince);
 
     w.b(inTxn);
     w.u32(txnJob);
@@ -975,15 +953,19 @@ Host::saveState(snap::Writer &w) const
 void
 Host::loadState(snap::Reader &r, std::uint32_t version)
 {
-    (void)version;
+    // Version 1 stored the cooldown and compute as u32 countdowns.
+    if (version != stateVersion())
+        r.fail(strfmt("%s state version %u, this build reads only %u",
+                      name().c_str(), version, stateVersion()));
     program.clear();
     std::uint32_t nprog = r.u32();
     for (std::uint32_t i = 0; i < nprog; ++i)
         program.push_back(loadOp(r));
     countResetOps();
     pos = std::size_t(r.u64());
-    cooldown = r.u32();
-    computeLeft = r.u32();
+    readyAt = r.u64();
+    computeAt = r.u64();
+    idleSince = r.u64();
 
     inTxn = r.b();
     txnJob = r.u32();

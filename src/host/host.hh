@@ -157,21 +157,23 @@ class Host : public sim::Component
      * cannot travel with the snapshot: the restorer must re-install it
      * (the planner layer does) before a degradation can fire.
      */
-    std::uint32_t stateVersion() const override { return 1; }
+    std::uint32_t stateVersion() const override { return 2; }
     void saveState(snap::Writer &w) const override;
     void loadState(snap::Reader &r, std::uint32_t version) override;
 
     /**
      * Idle-cycle skipping support. The host's own future events are
-     * its countdowns (the inter-word cooldown and the scalar-compute
-     * latency) and, inside a transaction, the recovery deadline. A
-     * blocked Send/Recv/Call only ever wakes when a cell frees space
-     * or delivers a word, which the cells' hints cover, so those
-     * states report only the deadline (noEvent outside transactions).
+     * the end of its inter-word cooldown, the finishing cycle of a
+     * scalar compute and, inside a transaction, the recovery
+     * deadline. The round right after the cooldown counts too: it
+     * retries the op and may enter a stall state. A blocked
+     * Send/Recv/Call only ever wakes when a cell frees space or
+     * delivers a word, which the cells' hints cover, so those states
+     * report only the deadline (noEvent outside transactions). A
+     * traced host returns @p now: a blocked round emits a Stall
+     * event, so it ticks every round.
      */
     Cycle nextEventAt(Cycle now) const override;
-    void fastForward(Cycle from, Cycle cycles,
-                     sim::Engine &engine) override;
 
     /**
      * The host reaches into a cell only by a reset line — a queued
@@ -268,8 +270,13 @@ class Host : public sim::Component
     Word memLoad(std::size_t addr) const;
     void memStore(std::size_t addr, Word w);
 
-    /** Abort the open transaction: reset, replay — or degrade. */
-    void recoverTxn(Cycle now, sim::Engine &engine);
+    /**
+     * Abort the open transaction: reset, replay — or degrade. @p next
+     * is the first round after the recovery: @p now + 1 inside tick(),
+     * @p now itself from the watchdog, between rounds. The cooldown
+     * left at @p now resumes there, extended by the reset cost.
+     */
+    void recoverTxn(Cycle now, Cycle next, sim::Engine &engine);
 
     /** Recount resetOps after program was rebuilt wholesale. */
     void countResetOps();
@@ -294,8 +301,17 @@ class Host : public sim::Component
     std::deque<HostOp> program;
     std::size_t resetOps = 0;  //!< Reset descriptors in program
     std::size_t pos = 0;       //!< word index within the current op
-    unsigned cooldown = 0;     //!< cycles until the next memory access
-    unsigned computeLeft = 0;  //!< remaining cycles of a Compute op
+    /** First cycle after the cooldown, when the next word may move. */
+    Cycle readyAt = 0;
+    /** Finishing cycle of the Compute op that has started (cycleNever
+     *  while none has). */
+    Cycle computeAt = cycleNever;
+    /**
+     * First round the program was empty in (cycleNever while it has
+     * ops). The cooldown stands still while there is nothing to do: a
+     * refill resumes what was left of it at idleSince.
+     */
+    Cycle idleSince = cycleNever;
 
     // -- transaction state ------------------------------------------
     bool inTxn = false;

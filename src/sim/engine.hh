@@ -21,13 +21,16 @@
  *  - Skip: the default. After a tick round in which no component
  *          reported progress, the engine asks every component for the
  *          earliest future cycle at which it could act on its own
- *          (nextEventAt) and jumps the clock to the minimum hint;
- *          components replay what the skipped quiescent rounds would
- *          have changed besides time in a state, in fastForward
- *          (countdowns, per-cycle stall trace events). A component
- *          that cannot predict its wake-up returns `now` (the
- *          default), which disables skipping while it is live;
- *          `noEvent` means it only ever reacts to other components.
+ *          (nextEventAt) and jumps the clock to the minimum hint. The
+ *          jump moves the clock and nothing else: countdowns are
+ *          stored as the absolute cycle they end at, and each skipped
+ *          round would only have spent time in the state the round
+ *          before the jump entered. A component that cannot predict
+ *          its wake-up returns `now` (the default), which disables
+ *          skipping while it is live; `noEvent` means it only ever
+ *          reacts to other components. A traced cell or host returns
+ *          `now` too, so a traced run ticks every round and emits
+ *          every per-cycle event itself.
  *          With the fast tier on and no tracer attached, Skip also
  *          runs a streaming component's burst quantum (burstQuantum /
  *          burstRun) in one step, in a cell-local window: one that no
@@ -109,36 +112,20 @@ class Component
     /**
      * Earliest future cycle at which this component could act on its
      * own, assuming no other component does anything before then:
-     * a FIFO front falling through, a countdown (decode, host
-     * cooldown, scalar compute) expiring, an FP pipeline result
-     * landing. Only consulted after a tick round with no progress.
-     * Return `now` when the wake-up cannot be predicted (disables
-     * skipping while this component is live — the safe default), or
-     * noEvent when this component only waits on others.
+     * a FIFO front falling through, a countdown (a cell's call
+     * dispatch, the host's cooldown or scalar compute) ending, an FP
+     * pipeline result landing. A round whose clock state changes
+     * counts as an event (stats::StateClock): a skip jump moves the
+     * clock and nothing else, so every round it skips must do nothing
+     * but spend time in the state the round before the jump entered.
+     * Only consulted after a tick round with no progress. Return
+     * `now` when the wake-up cannot be predicted or a round emits
+     * trace events (disables skipping while this component is live —
+     * the safe default), or noEvent when this component only waits
+     * on others. HintMin and frontReadyHint below are the shared
+     * pieces of the answer.
      */
     virtual Cycle nextEventAt(Cycle now) const { return now; }
-
-    /**
-     * Replay @p cycles quiescent tick rounds starting at cycle
-     * @p from: whatever tick() would have changed in each of those
-     * rounds given that none of them can make progress — countdown
-     * decrements and per-cycle stall trace events. The engine
-     * guarantees from + cycles <= the minimum nextEventAt hint, so
-     * every replayed round is an exact replica of the quiescent round
-     * that preceded the jump, and time statistics need no replay: the
-     * state that round entered carries across the window (see
-     * settle()). A component running ahead in a cell-local window is
-     * not replayed: it already ran those rounds. When a tracer is
-     * attached the engine calls this once per skipped cycle
-     * (cycles == 1, cycle-major across components) so trace event
-     * order is preserved exactly.
-     */
-    virtual void fastForward(Cycle from, Cycle cycles, Engine &engine)
-    {
-        (void)from;
-        (void)cycles;
-        (void)engine;
-    }
 
     /**
      * Earliest cycle at which this component could read or change
@@ -202,10 +189,13 @@ class Component
      * Credit every time statistic through cycle @p now - 1. A tick
      * charges its cycle by entering a state (stats::StateClock), and
      * the state's cycles are added up when it changes; settle() adds
-     * them up without a change. Engine::run() settles every component
-     * at entry, which also starts the clocks after construction or a
-     * snapshot restore, and at every exit, thrown ones included; the
-     * stats sampler settles before each snapshot (Engine::settle()).
+     * them up without a change. The rounds a skip jump passes over
+     * need nothing more: each stays in the state the round before the
+     * jump entered (see nextEventAt). Engine::run() settles every
+     * component at entry, which also starts the clocks after
+     * construction or a snapshot restore, and at every exit, thrown
+     * ones included; the stats sampler settles before each snapshot
+     * (Engine::settle()).
      */
     virtual void settle(Cycle now) { (void)now; }
 
@@ -245,6 +235,48 @@ class Component
     std::string _name;
 };
 
+/** Accumulates the minimum over "earliest event" hints. */
+class HintMin
+{
+  public:
+    /** Fold in a hint (noEvent is the identity). */
+    void
+    note(Cycle at)
+    {
+        if (at < _at)
+            _at = at;
+    }
+
+    /**
+     * Fold in a hint that only counts when it is not already in the
+     * past — pipeline landings with when < now are ordered behind a
+     * later entry and must not produce a stale wake-up.
+     */
+    void
+    noteFuture(Cycle at, Cycle now)
+    {
+        if (at >= now)
+            note(at);
+    }
+
+    Cycle value() const { return _at; }
+
+  private:
+    Cycle _at = Component::noEvent;
+};
+
+/**
+ * The FIFO front-ready wake rule shared by every queue-backed hint: a
+ * front that became poppable strictly before @p now was already seen
+ * by its stalled consumer and cannot wake it; a front becoming ready
+ * at or after @p now wakes the consumer at exactly its ready cycle.
+ */
+inline Cycle
+frontReadyHint(Cycle ready, Cycle now)
+{
+    return ready < now ? Component::noEvent : ready;
+}
+
 /** The clock and run loop. */
 class Engine
 {
@@ -283,13 +315,12 @@ class Engine
      * Run until the clock reaches @p stop (or everything is done,
      * whichever comes first) and return the cycles simulated. The
      * machine is left in exactly the state a run() would pass through
-     * at cycle @p stop — counters settled, skipped rounds replayed — so
-     * it can be snapshotted and the run continued (by run() or
-     * another runUntil()) with byte-identical results. The idle-time
-     * baseline the watchdog and skip hysteresis derive from is
-     * carried across the boundary (idleCarry_), so deadlock expiry
-     * and jump decisions land on the same cycles as an uninterrupted
-     * run.
+     * at cycle @p stop, counters settled, so it can be snapshotted and
+     * the run continued (by run() or another runUntil()) with
+     * byte-identical results. The idle-time baseline the watchdog and
+     * skip hysteresis derive from is carried across the boundary
+     * (idleCarry_), so deadlock expiry and jump decisions land on the
+     * same cycles as an uninterrupted run.
      */
     Cycle runUntil(Cycle stop, Cycle max_cycles = 0);
 

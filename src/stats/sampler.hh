@@ -56,9 +56,7 @@ class Sampler : public sim::Component
     /**
      * The next interval boundary, in engine time: idle-cycle skipping
      * never jumps over a periodic snapshot, so the sampled series has
-     * identical cycles and values in every engine mode. Skipped
-     * quiescent cycles need no replay here — they change no sampled
-     * stat.
+     * identical cycles and values in every engine mode.
      */
     Cycle
     nextEventAt(Cycle now) const override

@@ -126,9 +126,6 @@ class StateClock
     /** Stop crediting until the next settle() (state restored). */
     void stop() { since = cycleNever; }
 
-    /** The second counter of the current state (the stall cause). */
-    const Counter *second() const { return _b; }
-
   private:
     Counter *_a = nullptr;
     Counter *_b = nullptr;

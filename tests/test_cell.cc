@@ -855,6 +855,34 @@ TEST(CellStallMemo, HangInjectedMidStall)
     }
 }
 
+TEST(CellSequencer, HangDuringDecodeDelaysTheDispatch)
+{
+    // The call word pops at 1 and would dispatch at 5. A 10-cycle hang
+    // injected at 3 freezes rounds 3-12, so the call dispatches at 15,
+    // the mov issues at 16 and the run ends at 18, in both engine
+    // modes, traced and untraced (an untraced skip run jumps the hang).
+    for (sim::EngineMode mode : kBothModes) {
+        TracedCell t(mode);
+        CellHarness h;
+        h.engine.setMode(mode);
+        for (CellHarness *c : {&t.h, &h}) {
+            c->cell.loadMicrocode(1, moveOneKernel("decodehang", Src::TpY),
+                                  0);
+            c->call(1, {});
+            c->cell.tpy().push(floatToWord(2.0f), 0);
+            c->engine.runUntil(3);
+            c->cell.injectHang(3, 10);
+            c->run();
+            EXPECT_EQ(c->engine.now(), 18u);
+            EXPECT_EQ(c->cell.stats().counterValue("hangCycles"), 10u);
+        }
+        EXPECT_EQ(issueCycles(t.sink), std::vector<Cycle>{16});
+        if (mode == sim::EngineMode::Skip) {
+            EXPECT_GT(h.engine.fastForwards(), 0u);
+        }
+    }
+}
+
 TEST(CellStallMemo, SpuriousHaltThenNewCall)
 {
     // A kernel stalled on tpx halts spuriously at 20; the next call

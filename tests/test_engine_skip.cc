@@ -49,10 +49,11 @@ TEST(EngineSkip, EveryWorkloadMatchesSpinExactly)
     }
 }
 
-TEST(EngineSkip, TraceStreamIsIdenticalUnderSkipping)
+TEST(EngineSkip, TracedSkipRunNeverJumpsAndMatchesSpin)
 {
-    // Cycle-major replay must reproduce the spin-mode event ORDER, not
-    // just the same multiset of events.
+    // A traced cell or host hints `now`, so a traced skip run ticks
+    // every round: it emits the spin-mode event stream, in the same
+    // ORDER, itself, and jumps nothing.
     const Shape shapes[] = {kOneCell, {2, 256, 4}, kFourCells};
     for (Workload w : {Workload::MatUpdate, Workload::Lu}) {
         for (const Shape &s : shapes) {
@@ -60,26 +61,65 @@ TEST(EngineSkip, TraceStreamIsIdenticalUnderSkipping)
             RunOut spin = runWorkload(w, s, EngineMode::Spin, true);
             RunOut fast = runWorkload(w, s, EngineMode::Skip, true);
             EXPECT_EQ(spin.cycles, fast.cycles) << what;
+            EXPECT_EQ(fast.fastForwards, 0u) << what;
             expectSameEvents(spin.events, fast.events, what.c_str());
         }
     }
+}
+
+TEST(EngineSkip, TracedHostAloneStillTicksEveryRound)
+{
+    // Only the host is traced: its own hint must keep the skip loop
+    // off the rounds in which it stalls on LU's pivot recurrence.
+    auto run = [](EngineMode mode) {
+        copro::Coprocessor sys(goldenConfig({1, 512, 4}, mode));
+        kernels::installStandardKernels(sys);
+        trace::Tracer tracer;
+        trace::VectorSink sink;
+        tracer.addSink(&sink);
+        sys.host().attachTracer(&tracer);
+        sys.host().enqueue(planWorkload(sys, Workload::Lu));
+        RunOut out;
+        out.cycles = sys.run();
+        collectRun(sys, out);
+        out.events = std::move(sink.events);
+        return out;
+    };
+    const RunOut spin = run(EngineMode::Spin);
+    const RunOut fast = run(EngineMode::Skip);
+    EXPECT_EQ(spin.cycles, fast.cycles);
+    EXPECT_EQ(fast.fastForwards, 0u);
+    expectSameEvents(spin.events, fast.events, "host traced");
 }
 
 TEST(EngineSkip, FaultedRunsMatchSpin)
 {
     // Injected flips, hangs and memory-latency spikes: the injector's
     // hint must stop every jump short of an injection, and the stats
-    // JSON (fault counters, recovery actions, sampled series) and the
-    // event stream must not depend on the mode.
-    for (const Shape &s : kGoldenShapes) {
-        std::string what = label("faulted", s);
-        RunOut spin = runWorkload(Workload::MatUpdate, s,
-                                  EngineMode::Spin, true, true);
-        RunOut fast = runWorkload(Workload::MatUpdate, s,
-                                  EngineMode::Skip, true, true);
-        EXPECT_EQ(spin.cycles, fast.cycles) << what;
-        EXPECT_EQ(spin.statsJson, fast.statsJson) << what;
-        expectSameEvents(spin.events, fast.events, what.c_str());
+    // JSON (fault counters, recovery actions, sampled series), the
+    // results and the event stream must not depend on the mode. Only
+    // the untraced skip runs jump; the traced ones tick every round.
+    for (Workload w : {Workload::MatUpdate, Workload::Lu}) {
+        for (const Shape &s : kGoldenShapes) {
+            for (bool traced : {false, true}) {
+                std::string what =
+                    label(workloadName(w), s)
+                    + (traced ? " faulted traced" : " faulted");
+                RunOut spin = runWorkload(w, s, EngineMode::Spin, traced,
+                                          true);
+                RunOut fast = runWorkload(w, s, EngineMode::Skip, traced,
+                                          true);
+                EXPECT_EQ(spin.cycles, fast.cycles) << what;
+                EXPECT_EQ(spin.statsJson, fast.statsJson) << what;
+                EXPECT_EQ(spin.memHash, fast.memHash) << what;
+                expectSameEvents(spin.events, fast.events, what.c_str());
+                if (traced) {
+                    EXPECT_EQ(fast.fastForwards, 0u) << what;
+                } else {
+                    EXPECT_GT(fast.fastForwards, 0u) << what;
+                }
+            }
+        }
     }
 }
 

@@ -310,7 +310,8 @@ namespace
 
 /** One-cell GEMM; returns the result matrix. */
 Matrix
-runGemm(CoprocConfig cfg)
+runGemm(CoprocConfig cfg, Cycle *cycles = nullptr,
+        std::string *stats_json = nullptr)
 {
     Coprocessor sys(cfg);
     kernels::installStandardKernels(sys);
@@ -332,7 +333,11 @@ runGemm(CoprocConfig cfg)
         return plan.takeOps();
     });
     jobs.dispatch();
-    sys.run();
+    const Cycle cy = sys.run();
+    if (cycles)
+        *cycles = cy;
+    if (stats_json)
+        *stats_json = sys.statsJson();
     return loadMat(sys.memory(), cr);
 }
 
@@ -362,6 +367,27 @@ TEST_P(ParitySites, FlipSurvivesInBothProtectionModes)
 INSTANTIATE_TEST_SUITE_P(AllSevenQueues, ParitySites,
                          ::testing::Values("tpx", "tpy", "tpo", "tpi",
                                            "sum", "ret", "reby"));
+
+TEST(Parity, TpoTripInsideACooldownResumesItAfterTheReset)
+{
+    // The host pops the damaged tpo word and starts its cooldown; the
+    // next round aborts the transaction. That round does not count the
+    // cooldown down: what is left of it resumes in the round after,
+    // followed by the reset cost.
+    std::string stats[2];
+    for (sim::EngineMode mode :
+         {sim::EngineMode::Spin, sim::EngineMode::Skip}) {
+        CoprocConfig cfg = makeConfig(1);
+        protect(cfg, "at=300/flip/0/tpo/16", fault::ParityMode::Detect,
+                4000);
+        cfg.engineMode = mode;
+        Cycle cycles = 0;
+        const Matrix got = runGemm(cfg, &cycles, &stats[int(mode)]);
+        EXPECT_EQ(got.maxAbsDiff(runGemm(makeConfig(1))), 0.0f);
+        EXPECT_EQ(cycles, 3631u) << sim::engineModeName(mode);
+    }
+    EXPECT_EQ(stats[0], stats[1]);
+}
 
 TEST(Parity, CorrectionAndDetectionAreCounted)
 {
@@ -578,7 +604,8 @@ signalWorkload(Coprocessor &sys, JobRunner &jobs)
 }
 
 std::vector<float>
-runWorkload(CoprocConfig cfg, WorkloadFn fn, Cycle *cycles = nullptr)
+runWorkload(CoprocConfig cfg, WorkloadFn fn, Cycle *cycles = nullptr,
+            std::string *stats_json = nullptr)
 {
     Coprocessor sys(cfg);
     kernels::installStandardKernels(sys);
@@ -588,6 +615,8 @@ runWorkload(CoprocConfig cfg, WorkloadFn fn, Cycle *cycles = nullptr)
     Cycle cy = sys.run();
     if (cycles)
         *cycles = cy;
+    if (stats_json)
+        *stats_json = sys.statsJson();
     std::vector<float> out;
     for (auto [base, count] : regions)
         for (std::size_t i = 0; i < count; ++i)
@@ -636,6 +665,48 @@ INSTANTIATE_TEST_SUITE_P(
 // Dead-cell degradation
 // ---------------------------------------------------------------------
 
+namespace
+{
+
+/** A gemm job's result region and its blasref answer. */
+struct GemmJob
+{
+    MatRef c;
+    Matrix want;
+};
+
+/** Register three 20x20x12 gemm jobs with @p jobs. */
+std::vector<GemmJob>
+addGemmJobs(Coprocessor &sys, JobRunner &jobs)
+{
+    Rng rng(7);
+    std::vector<GemmJob> out;
+    for (unsigned j = 0; j < 3; ++j) {
+        Matrix c(20, 20), a(20, 12), b(12, 20);
+        c.randomize(rng);
+        a.randomize(rng);
+        b.randomize(rng);
+        Matrix want = c;
+        blasref::gemm(want, a, b);
+        MatRef cr = allocMat(sys.memory(), 20, 20);
+        MatRef ar = allocMat(sys.memory(), 20, 12);
+        MatRef br = allocMat(sys.memory(), 12, 20);
+        storeMat(sys.memory(), cr, c);
+        storeMat(sys.memory(), ar, a);
+        storeMat(sys.memory(), br, b);
+        jobs.add(strfmt("gemm%u", j),
+                 [&sys, cr, ar, br](std::uint32_t alive) {
+                     LinalgPlanner plan(sys, alive);
+                     plan.matUpdate(cr, ar, br);
+                     return plan.takeOps();
+                 });
+        out.push_back({cr, want});
+    }
+    return out;
+}
+
+} // anonymous namespace
+
 TEST(Recovery, DeadCellDegradesOntoSurvivors)
 {
     CoprocConfig cfg = makeConfig(4);
@@ -645,42 +716,54 @@ TEST(Recovery, DeadCellDegradesOntoSurvivors)
             /*timeout=*/3000, /*budget=*/2);
     Coprocessor sys(cfg);
     kernels::installStandardKernels(sys);
-    Rng rng(7);
-    const unsigned njobs = 3;
-    std::vector<Matrix> want(njobs);
-    std::vector<MatRef> cr(njobs);
     JobRunner jobs(sys);
-    for (unsigned j = 0; j < njobs; ++j) {
-        Matrix c(20, 20), a(20, 12), b(12, 20);
-        c.randomize(rng);
-        a.randomize(rng);
-        b.randomize(rng);
-        want[j] = c;
-        blasref::gemm(want[j], a, b);
-        cr[j] = allocMat(sys.memory(), 20, 20);
-        MatRef ar = allocMat(sys.memory(), 20, 12);
-        MatRef br = allocMat(sys.memory(), 12, 20);
-        storeMat(sys.memory(), cr[j], c);
-        storeMat(sys.memory(), ar, a);
-        storeMat(sys.memory(), br, b);
-        jobs.add(strfmt("gemm%u", j),
-                 [&sys, c = cr[j], ar, br](std::uint32_t alive) {
-                     LinalgPlanner plan(sys, alive);
-                     plan.matUpdate(c, ar, br);
-                     return plan.takeOps();
-                 });
-    }
+    const std::vector<GemmJob> gemms = addGemmJobs(sys, jobs);
     jobs.dispatch();
     sys.run();
     EXPECT_EQ(sys.host().deadCells(), 1u);
     EXPECT_EQ(sys.host().aliveMask(), 0b1101u);
     EXPECT_TRUE(sys.cell(1).dead());
-    EXPECT_EQ(sys.host().completedJobs().size(), njobs);
+    EXPECT_EQ(sys.host().completedJobs().size(), gemms.size());
     EXPECT_GE(jobs.replans(), 1u);
-    for (unsigned j = 0; j < njobs; ++j)
-        EXPECT_LT(loadMat(sys.memory(), cr[j]).maxAbsDiff(want[j]),
+    for (std::size_t j = 0; j < gemms.size(); ++j)
+        EXPECT_LT(loadMat(sys.memory(), gemms[j].c)
+                      .maxAbsDiff(gemms[j].want),
                   1e-3f)
             << "job " << j;
+}
+
+TEST(Recovery, WatchdogHandOffResetsAndReplays)
+{
+    // The watchdog (400 cycles) fires long before the transaction
+    // deadline (100000): Host::forceRecovery aborts between rounds,
+    // so the reset cost runs from the engine's current cycle, not the
+    // one after. Every retry and the degradation go this way.
+    auto run = [](sim::EngineMode mode) {
+        CoprocConfig cfg = makeConfig(4);
+        protect(cfg, "at=2500/hang/1/0", fault::ParityMode::Correct,
+                /*timeout=*/100000, /*budget=*/2);
+        cfg.watchdogCycles = 400;
+        cfg.engineMode = mode;
+        Coprocessor sys(cfg);
+        kernels::installStandardKernels(sys);
+        JobRunner jobs(sys);
+        const std::vector<GemmJob> gemms = addGemmJobs(sys, jobs);
+        jobs.dispatch();
+        const Cycle cycles = sys.run();
+        const char *what = sim::engineModeName(mode);
+        EXPECT_EQ(cycles, 19386u) << what;
+        EXPECT_EQ(sys.host().timeouts(), 3u) << what;
+        EXPECT_EQ(sys.host().retries(), 2u) << what;
+        EXPECT_EQ(sys.host().deadCells(), 1u) << what;
+        EXPECT_EQ(sys.host().completedJobs().size(), gemms.size()) << what;
+        for (std::size_t j = 0; j < gemms.size(); ++j)
+            EXPECT_LT(loadMat(sys.memory(), gemms[j].c)
+                          .maxAbsDiff(gemms[j].want),
+                      1e-3f)
+                << what << " job " << j;
+        return sys.statsJson();
+    };
+    EXPECT_EQ(run(sim::EngineMode::Spin), run(sim::EngineMode::Skip));
 }
 
 TEST(Recovery, AllCellsDeadThrowsRecoveryError)
@@ -739,6 +822,12 @@ TEST(Faults, SkipAndSpinAreCycleIdentical)
     // A plan mixing every recoverable kind, with the retry machinery
     // live: idle-cycle skipping must neither miss an injection nor
     // shift a timeout.
+    struct Out
+    {
+        Cycle cycles = 0;
+        std::vector<float> vals;
+        std::string statsJson;
+    };
     auto run = [](bool skip) {
         CoprocConfig cfg = makeConfig(2);
         cfg.engineMode = skip ? sim::EngineMode::Skip
@@ -747,15 +836,16 @@ TEST(Faults, SkipAndSpinAreCycleIdentical)
                 "seed=4,n=6,horizon=4000,"
                 "kinds=flip+drop+dup+hang+halt+mem",
                 fault::ParityMode::Detect, /*timeout=*/2500);
-        Cycle cycles = 0;
-        std::vector<float> vals =
-            runWorkload(cfg, &linalgWorkload, &cycles);
-        return std::pair<Cycle, std::vector<float>>(cycles, vals);
+        Out out;
+        out.vals = runWorkload(cfg, &linalgWorkload, &out.cycles,
+                               &out.statsJson);
+        return out;
     };
-    auto skip = run(true);
-    auto spin = run(false);
-    EXPECT_EQ(skip.first, spin.first);
-    EXPECT_EQ(skip.second, spin.second);
+    const Out skip = run(true);
+    const Out spin = run(false);
+    EXPECT_EQ(skip.cycles, spin.cycles);
+    EXPECT_EQ(skip.vals, spin.vals);
+    EXPECT_EQ(skip.statsJson, spin.statsJson);
 }
 
 TEST(Faults, ProtectionFaultInsideABurstFreezesTheCell)

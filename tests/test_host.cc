@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "coproc/coprocessor.hh"
 #include "isa/builder.hh"
 
@@ -189,14 +191,49 @@ TEST(Host, PerCellSendsAreIndependent)
 
 TEST(Host, RecipComputeOp)
 {
-    CoprocConfig cfg;
-    Coprocessor sys(cfg);
-    std::size_t a = sys.memory().alloc(2);
-    sys.memory().storeF(a, 4.0f);
-    sys.host().enqueue(host::recipOp(a + 1, a));
-    Cycle cycles = sys.run();
-    EXPECT_EQ(sys.memory().loadF(a + 1), 0.25f);
-    EXPECT_GE(cycles, Cycle(cfg.host.recipCycles));
+    // The op finishes in its recipCycles-th cycle; a zero latency
+    // finishes in the first, like one.
+    for (unsigned recip : {16u, 1u, 0u}) {
+        for (sim::EngineMode mode :
+             {sim::EngineMode::Spin, sim::EngineMode::Skip}) {
+            CoprocConfig cfg;
+            cfg.host.recipCycles = recip;
+            cfg.engineMode = mode;
+            cfg.watchdogCycles = 5000;
+            Coprocessor sys(cfg);
+            std::size_t a = sys.memory().alloc(2);
+            sys.memory().storeF(a, 4.0f);
+            sys.host().enqueue(host::recipOp(a + 1, a));
+            const std::string what = strfmt(
+                "recipCycles %u, %s", recip, sim::engineModeName(mode));
+            Cycle cycles = sys.run();
+            EXPECT_EQ(sys.memory().loadF(a + 1), 0.25f) << what;
+            EXPECT_EQ(cycles, Cycle(std::max(recip, 1u))) << what;
+        }
+    }
+}
+
+TEST(Host, CooldownStandsStillWhileTheProgramIsEmpty)
+{
+    // The first program ends on a data word at tau = 8, leaving seven
+    // cooldown cycles, while the cell still has to copy it to tpo. The
+    // host waits out those cycles only once it has a program again:
+    // the second program's first word moves 7 cycles after it starts.
+    for (sim::EngineMode mode :
+         {sim::EngineMode::Spin, sim::EngineMode::Skip}) {
+        CoprocConfig cfg;
+        cfg.host.tau = 8;
+        cfg.engineMode = mode;
+        Coprocessor sys(cfg);
+        sys.loadMicrocode(1, copyKernel(), 1);
+        std::size_t buf = sys.memory().alloc(4);
+        sys.host().enqueue(host::callOp(1, 1, {4}));
+        sys.host().enqueue(host::sendOp(1, Region::vec(buf, 4)));
+        const char *what = sim::engineModeName(mode);
+        EXPECT_EQ(sys.run(), 29u) << what;
+        sys.host().enqueue(host::recvOp(0, Region::vec(buf, 4)));
+        EXPECT_EQ(sys.run(), 7u + 3 * 8 + 1) << what;
+    }
 }
 
 TEST(Host, CallWordsCheaperThanData)

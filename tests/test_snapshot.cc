@@ -620,7 +620,7 @@ offsetOf(const std::string &payload, const snap::Reader &r)
  * Offset of the sequencer block in a cell payload (Cell::saveState):
  * past the microcode store, the registers, their pending mask and
  * regay. The block is u8 state, b running, u32 entry, u64 pc,
- * u32 paramsToRead, u32 paramIndex, u32 decodeLeft, b pmuCall.
+ * u32 paramsToRead, u32 paramIndex, u64 dispatchAt, b pmuCall.
  */
 std::size_t
 cellSeqOffset(const std::string &payload)
@@ -643,7 +643,7 @@ cellSeqOffset(const std::string &payload)
 
 // Offsets within the sequencer block.
 constexpr std::size_t seqState = 0, seqRunning = 1, seqToRead = 14,
-                      seqIndex = 18, seqPmuCall = 26;
+                      seqIndex = 18, seqPmuCall = 30;
 // Cell::SeqState values.
 constexpr char stReadParams = 1, stDecode = 2, stRun = 3;
 
@@ -788,6 +788,27 @@ TEST(SnapshotRestoreChecks, StatsSectionOfAnotherVersionIsRejected)
     const std::string err = restoreError(cfg, old);
     EXPECT_NE(err.find("stats section version 1"), std::string::npos)
         << "'" << err << "'";
+}
+
+TEST(SnapshotRestoreChecks, CellAndHostSectionsOfAnotherVersionAreRejected)
+{
+    // Version 1 cell and host payloads held the call decode, the
+    // cooldown and the scalar compute as u32 countdowns; version 2
+    // holds the u64 cycles they end at.
+    CoprocConfig cfg = baseConfig(EngineMode::Skip, true, false);
+    const snap::Snapshot snap = midRunSnapshot(cfg);
+    ASSERT_EQ(restoreError(cfg, snap), "");
+    for (const std::string name : {"comp.cell0", "comp.host"}) {
+        snap::Snapshot old;
+        old.cycle = snap.cycle;
+        old.fingerprint = snap.fingerprint;
+        for (const snap::Section &sec : snap.sections())
+            old.add(sec.name, sec.name == name ? 1 : sec.version,
+                    sec.payload);
+        const std::string err = restoreError(cfg, old);
+        EXPECT_NE(err.find("state version 1"), std::string::npos)
+            << name << ": '" << err << "'";
+    }
 }
 
 TEST(SnapshotRestoreChecks, RecvMaskMustNameOneExistingCell)
